@@ -46,7 +46,6 @@ from .prob import (
     compose_joint,
     conditional,
     marginal,
-    sample_iid,
 )
 from .region import RegionPoint, RegionPolicy, region_frontier, region_membership
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info import mutual_information, conditional_mutual_information
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, compose_joint, marginal
+from .prob import (
+    ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, compose_joint, marginal,
+)
 from .rng import stream
 
 _LOG_FLOOR = 1e-26
@@ -335,7 +337,7 @@ def gp_capacity_dm(
     if u_size is None:
         u_size = channel.n_inputs * channel.n_states + 1
     if u_size < 1:
-        raise ValueError("u_size must be >= 1")
+        raise ValidationError("u_size must be >= 1")
     cand = [_averaged_channel_candidate([state.probs], [channel.w], u_size, channel.n_inputs)]
     value, v, g, diag = optimize_gp_policy(
         [state.probs], [channel.w], u_size,
@@ -410,18 +412,18 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind not in ("stationary", "j-structured", "explicit-periodic"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+            raise ValidationError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "stationary" and ("a" not in self.channels or "a" not in self.states):
-            raise ValueError("stationary spec needs channel 'a' and state 'a'")
+            raise ValidationError("stationary spec needs channel 'a' and state 'a'")
         if self.kind == "j-structured":
             for key in ("a", "b", "c"):
                 if key not in self.channels:
-                    raise ValueError(f"j-structured spec needs channel {key!r}")
+                    raise ValidationError(f"j-structured spec needs channel {key!r}")
             for key in ("a", "b"):
                 if key not in self.states:
-                    raise ValueError(f"j-structured spec needs state {key!r}")
+                    raise ValidationError(f"j-structured spec needs state {key!r}")
         if self.kind == "explicit-periodic" and not self.period:
-            raise ValueError("explicit-periodic spec needs a period")
+            raise ValidationError("explicit-periodic spec needs a period")
 
     def component(self, i: int) -> tuple[str, str]:
         """(channel key, state key) at 1-based index i."""
@@ -444,7 +446,7 @@ def cesaro_capacity(seq: SequenceSpec, n_max: int, *, solver_kwargs: dict | None
     both extreme phases.
     """
     if n_max < 4:
-        raise ValueError("horizon must be at least 4")
+        raise ValidationError("horizon must be at least 4")
     kw = solver_kwargs or {}
     cache: dict[tuple[str, str], float] = {}
 
@@ -511,6 +513,14 @@ def _is_state_symmetric_bsc(w: ChannelKernel) -> bool:
     return True
 
 
+def require_interleaved_form(wa: ChannelKernel, wb: ChannelKernel, names=("wa", "wb")) -> None:
+    """The interleaved closed form holds only when wa and wb are binary
+    symmetric channels in each state; `names` label them in the error."""
+    for name, w in zip(names, (wa, wb)):
+        if not _is_state_symmetric_bsc(w):
+            raise ValidationError(f"{name} must be a binary symmetric channel in each state")
+
+
 def interleaved_capacity(
     wa: ChannelKernel, wb: ChannelKernel, wc: ChannelKernel, qa: Pmf, qb: Pmf, **kw
 ) -> float:
@@ -521,9 +531,7 @@ def interleaved_capacity(
     the closed form relies on the uniform auxiliary law being optimal
     on the odd slots, which that symmetry guarantees.
     """
-    for name, w in (("wa", wa), ("wb", wb)):
-        if not _is_state_symmetric_bsc(w):
-            raise ValueError(f"{name} must be a binary symmetric channel in each state")
+    require_interleaved_form(wa, wb)
     g = dyadic_alternation_value(wa, wb, qa, **kw)
     cc = gp_capacity_dm(wc, qb, **kw).value
     return 0.5 * (g + cc)

@@ -26,7 +26,6 @@ atypicality E2, confusion E3) so the error decomposition is auditable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import kernels
-from .info import density_table, mutual_information
+from .info import counts_scores, density_table, mutual_information
 from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, compose_joint, marginal
 from .rng import stream
 
@@ -192,14 +191,23 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _block_sums(table: np.ndarray, cell_p: np.ndarray, n: int, draws: int, rng) -> np.ndarray:
-    """Draws of sum_i table[cell_i] for n i.i.d. cells ~ cell_p."""
-    counts = rng.multinomial(n, cell_p.ravel(), size=draws)
-    finite = np.where(np.isfinite(table), table, 0.0).ravel()
-    sums = counts @ finite
-    bad = counts[:, ~np.isfinite(table).ravel()].sum(axis=1) > 0
-    sums[bad] = -np.inf
-    return sums
+def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws, one symbol per uniform in [0, 1).
+
+    probs is either one pmf shared by all uniforms (any shape of
+    uniforms) or one pmf row per uniform (shape (len(uniforms), m)).
+    Symbol j is drawn when cdf[j-1] <= u < cdf[j], so a zero-mass
+    symbol is never drawn, u = 0.0 included; a u at or above the
+    rounded total mass falls to the last symbol of positive mass.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    last = np.argmax(cdf == cdf[..., -1:], axis=-1)
+    if cdf.ndim == 1:
+        # no (draws, m) temporary: codebooks draw hundreds of MB at once
+        idx = np.searchsorted(cdf, uniforms, side="right")
+    else:
+        idx = (uniforms[:, None] >= cdf).sum(axis=1)
+    return np.minimum(idx, last, out=idx)
 
 
 def estimate_pi(
@@ -216,10 +224,9 @@ def estimate_pi(
     """
     if draws < 1:
         raise ValidationError("zero draws")
-    rng1 = stream(seed, 0x9101)
-    rng2 = stream(seed, 0x9102)
-    s1 = _block_sums(system.d_uy, system.p_uy, n, draws, rng1)
-    s2 = _block_sums(system.d_us, system.p_us, n, draws, rng2)
+    # block densities of n i.i.d. cells: cell counts times the log table
+    s1 = counts_scores(stream(seed, 0x9101).multinomial(n, system.p_uy.ravel(), size=draws), system.d_uy)
+    s2 = counts_scores(stream(seed, 0x9102).multinomial(n, system.p_us.ravel(), size=draws), system.d_us)
     k1 = int((s1 < n * thresholds.t1).sum())
     k2 = int((s2 > n * thresholds.t2).sum())
     return {
@@ -250,15 +257,10 @@ def eta(
     pairs = u_block.astype(np.int64) * system.p_us.shape[1] + s_block.astype(np.int64)
     counts = np.bincount(pairs, minlength=system.p_us.size)
     sums = np.zeros(inner_draws)
-    hit_minus_inf = np.zeros(inner_draws, dtype=bool)
     for pair in np.flatnonzero(counts):
         u, s = divmod(pair, system.p_us.shape[1])
         c = rng.multinomial(int(counts[pair]), system.p_y_given_us[u, s], size=inner_draws)
-        row = system.d_uy[u]
-        finite = np.where(np.isfinite(row), row, 0.0)
-        sums += c @ finite
-        hit_minus_inf |= c[:, ~np.isfinite(row)].sum(axis=1) > 0
-    sums[hit_minus_inf] = -np.inf
+        sums += counts_scores(c, system.d_uy[u])
     k = int((sums < n * thresholds.t1).sum())
     est = k / inner_draws
     return est, math.sqrt(max(est * (1 - est), 1e-12) / inner_draws)
@@ -322,9 +324,7 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
             f"decode work {total * experiment.n} exceeds the {WORK_CAP} cap; reduce n or rates"
         )
     rng = stream(experiment.seed, 0xB00C)
-    cdf = np.cumsum(np.asarray(p_u, dtype=np.float64))
-    uniforms = rng.random((total, experiment.n))
-    words = kernels.categorical_sample(cdf, uniforms.ravel()).reshape(total, experiment.n)
+    words = sample(np.asarray(p_u, dtype=np.float64), rng.random((total, experiment.n)))
     return Codebook(
         words=words,
         subcodebook_size=experiment.subcodebook_size,
@@ -341,17 +341,9 @@ class EncodeResult:
     covering_failed: bool
 
 
-def _draw_conditional(rows: np.ndarray, rng) -> np.ndarray:
-    """One categorical draw per row of a stochastic matrix (n, m)."""
-    cdf = np.cumsum(rows, axis=1)
-    u = rng.random(rows.shape[0])
-    idx = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
-
-
 def _draw_inputs(system: MemorylessSystem, u_block: np.ndarray, s_block: np.ndarray, rng) -> np.ndarray:
     pxus = system.policy.x_given_us(system.channel.n_inputs)
-    return _draw_conditional(pxus[u_block, s_block], rng)
+    return sample(pxus[u_block, s_block], rng.random(u_block.size))
 
 
 def encode(
@@ -392,17 +384,28 @@ def decode(
     thresholds: TypicalityThresholds,
 ) -> int | None:
     """Unique-bin threshold decoder; None when zero or multiple bins hit."""
-    n = y_block.size
+    return _decode_hits(codebook, y_block, system, thresholds)[0]
+
+
+def _decode_hits(codebook, y_block, system, thresholds) -> tuple[int | None, np.ndarray]:
+    """(decoded message or None, indices of the T1-typical codewords)."""
     scores = kernels.codebook_scores(system.d_uy, codebook.words, y_block.astype(np.int64))
-    hits = np.flatnonzero(scores >= n * thresholds.t1)
+    hits = np.flatnonzero(scores >= y_block.size * thresholds.t1)
     messages = np.unique(hits // codebook.subcodebook_size)
-    if messages.size == 1:
-        return int(messages[0])
-    return None
+    return (int(messages[0]) if messages.size == 1 else None), hits
+
+
+def _atypical(system: MemorylessSystem, u_block: np.ndarray, y_block: np.ndarray, t1: float) -> bool:
+    """E2: the sent codeword is not T1-typical with the received block."""
+    d_entries = system.d_uy[u_block, y_block]
+    return not float(np.where(np.isfinite(d_entries), d_entries, -np.inf).sum()) >= u_block.size * t1
 
 
 # ---------------------------------------------------------------------------
 # trials
+
+
+TRIAL_COLUMNS = ("trial", "message", "L", "e1", "e2", "e3", "decoded", "ok")
 
 
 @dataclass(frozen=True)
@@ -415,6 +418,11 @@ class TrialRecord:
     e3: bool
     decoded: int  # -1 on failure
     ok: bool
+
+    def csv_row(self) -> list:
+        """The record as a row under TRIAL_COLUMNS."""
+        return [self.trial, self.message, self.l_index, int(self.e1), int(self.e2), int(self.e3),
+                self.decoded, int(self.ok)]
 
 
 @dataclass(frozen=True)
@@ -452,7 +460,7 @@ def rho_bound(pi1: float, pi2: float, n: int, gamma1: float, gamma2: float) -> d
 
 def _transmit(system: MemorylessSystem, u_block: np.ndarray, s_block: np.ndarray, rng) -> np.ndarray:
     """Y^n given the codeword and state blocks (input drawn internally)."""
-    return _draw_conditional(system.p_y_given_us[u_block, s_block], rng)
+    return sample(system.p_y_given_us[u_block, s_block], rng.random(u_block.size))
 
 
 def _confusion_probability(
@@ -467,25 +475,25 @@ def _confusion_probability(
 
     q(y) = P_{U ~ p_U^n}(density >= n*t1) is importance-sampled under
     the per-symbol tilted proposal P(u|y); the weight is exp(-density),
-    which concentrates the indicator near certainty. The count of
-    independent codewords enters only through exp(log_k_out), kept in
-    log space because it overflows any integer format at analysis rates.
+    which concentrates the indicator near certainty. q(y) is of order
+    exp(-n*t1), far below the smallest float at long blocks, so the
+    estimate stays in log space: log q = logsumexp(-d) - log(draws)
+    over the typical draws. The count of independent codewords enters
+    only through exp(log_k_out), kept in log space because it overflows
+    any integer format at analysis rates.
     """
     n = y_block.size
     y_counts = np.bincount(y_block, minlength=system.p_y.size)
     d = np.zeros(inner_draws)
     for y in np.flatnonzero(y_counts):
         c = rng.multinomial(int(y_counts[y]), system.p_u_given_y[:, y], size=inner_draws)
-        row = system.d_uy[:, y]
-        finite = np.where(np.isfinite(row), row, 0.0)
-        contrib = c @ finite
-        contrib[c[:, ~np.isfinite(row)].sum(axis=1) > 0] = -np.inf
-        d += contrib
-    weights = np.where(d >= n * thresholds.t1, np.exp(-np.clip(d, -700, 700)), 0.0)
-    q_hat = float(weights.mean())
-    if q_hat <= 0.0:
+        d += counts_scores(c, system.d_uy[:, y])
+    neg = -d[d >= n * thresholds.t1]
+    if neg.size == 0:
         return 0.0
-    exponent = math.exp(min(log_k_out + math.log(q_hat), 50.0))
+    top = float(neg.max())
+    log_q = top + math.log(float(np.exp(neg - top).sum())) - math.log(inner_draws)
+    exponent = math.exp(min(log_k_out + log_q, 50.0))
     return -math.expm1(-exponent)
 
 
@@ -497,17 +505,10 @@ def _run_explicit(system, experiment, thresholds, pi, inner_draws):
     for t in range(experiment.trials):
         rng = stream(experiment.seed, 0x7121, t)
         message = int(rng.integers(codebook.message_count))
-        s_block = _draw_conditional(
-            np.tile(system.state.probs, (n, 1)), rng
-        )
+        s_block = sample(system.state.probs, rng.random(n))
         enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
-        y_block = _draw_conditional(system.channel.w[s_block, enc.x_block], rng)
-        d2 = float(np.where(np.isfinite(system.d_uy[enc.u_block, y_block]), system.d_uy[enc.u_block, y_block], -np.inf).sum())
-        e2 = not d2 >= n * thresholds.t1
-        scores = kernels.codebook_scores(system.d_uy, codebook.words, y_block.astype(np.int64))
-        hits = np.flatnonzero(scores >= n * thresholds.t1)
-        hit_messages = np.unique(hits // codebook.subcodebook_size)
-        decoded = int(hit_messages[0]) if hit_messages.size == 1 else None
+        y_block = sample(system.channel.w[s_block, enc.x_block], rng.random(n))
+        decoded, hits = _decode_hits(codebook, y_block, system, thresholds)
         lo, hi = codebook.bin_range(message)
         # confusion: some other bin held a typical codeword
         e3 = bool(((hits < lo) | (hits >= hi)).any())
@@ -518,7 +519,7 @@ def _run_explicit(system, experiment, thresholds, pi, inner_draws):
                 message=message,
                 l_index=enc.l_index,
                 e1=enc.covering_failed,
-                e2=e2,
+                e2=_atypical(system, enc.u_block, y_block, thresholds.t1),
                 e3=e3,
                 decoded=-1 if decoded is None else decoded,
                 ok=bool(ok),
@@ -542,16 +543,15 @@ def _run_implicit(system, experiment, thresholds, pi, inner_draws, scan_cap=256)
     n = experiment.n
     covering_threshold = math.sqrt(pi["pi1"])
     log_sub = n * (experiment.rate_total - experiment.rate)
-    cdf_u = np.cumsum(system.p_u)
     for t in range(experiment.trials):
         rng = stream(experiment.seed, 0x7122, t)
         message = t % min(experiment.message_count, _MESSAGE_LABEL_CAP)
-        s_block = _draw_conditional(np.tile(system.state.probs, (n, 1)), rng)
+        s_block = sample(system.state.probs, rng.random(n))
         scan_limit = int(min(math.exp(min(log_sub, 20)), scan_cap))
         chosen = None
         fails = 0
         for attempt in range(scan_limit):
-            u_block = kernels.categorical_sample(cdf_u, rng.random(n))
+            u_block = sample(system.p_u, rng.random(n))
             est, _ = eta(u_block, s_block, system, thresholds, inner_draws, rng)
             if est <= covering_threshold:
                 chosen = attempt
@@ -571,9 +571,7 @@ def _run_implicit(system, experiment, thresholds, pi, inner_draws, scan_cap=256)
         else:
             e1 = False
         y_block = _transmit(system, u_block, s_block, rng)
-        d_entries = system.d_uy[u_block, y_block]
-        d2 = float(np.where(np.isfinite(d_entries), d_entries, -np.inf).sum())
-        e2 = not d2 >= n * thresholds.t1
+        e2 = _atypical(system, u_block, y_block, thresholds.t1)
         log_k_out = experiment.log_total_codewords  # out-of-bin population
         p_e3 = _confusion_probability(system, y_block, thresholds, log_k_out, inner_draws, rng)
         e3 = bool(rng.random() < p_e3)
@@ -637,13 +635,3 @@ def run_experiment(
         diagnostics={"pi": pi, "thresholds": (thresholds.t1, thresholds.t2)},
     )
 
-
-def write_trial_log(records, path) -> None:
-    """RFC-4180 CSV trial log, UTF-8, LF line endings."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "message", "L", "e1", "e2", "e3", "decoded", "ok"])
-        for r in records:
-            writer.writerow(
-                [r.trial, r.message, r.l_index, int(r.e1), int(r.e2), int(r.e3), r.decoded, int(r.ok)]
-            )

@@ -98,6 +98,19 @@ def density_table(joint: np.ndarray) -> DensityTable:
     return DensityTable(values=values, defined=defined)
 
 
+def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
+    """sum_i log_table[cell_i] per row of cell counts (draws, cells).
+
+    A row is -inf when it counts any non-finite cell of the table, so a
+    -inf or undefined entry never mixes with finite ones into NaN.
+    """
+    table = np.ravel(log_table)
+    finite = np.isfinite(table)
+    out = counts @ np.where(finite, table, 0.0)
+    out[counts[:, ~finite].sum(axis=1) > 0] = -np.inf
+    return out
+
+
 def expected_density(joint: np.ndarray, table: DensityTable) -> float:
     """E[table] under the joint; equals mutual_information on valid input."""
     p = np.asarray(joint, dtype=np.float64)

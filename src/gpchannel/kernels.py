@@ -1,146 +1,20 @@
-"""Hot sequence-level kernels with numba and pure-numpy implementations.
+"""The explicit decoder's score gather.
 
-The numba path is used by default when numba imports cleanly; set the
-environment variable GPCHANNEL_NUMBA=0 to force the numpy fallback.
-Both paths implement the same contracts; sampling kernels are
-bit-identical, score kernels agree to accumulation-order rounding.
+Every other counts-times-log-table computation goes through
+``info.counts_scores``; this one gathers per position because the
+decoder scores one output block against every stored codeword.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV = os.environ.get("GPCHANNEL_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV not in ("0", "false", "no", "off")
-
-try:  # pragma: no cover - exercised indirectly
-    if _WANT_NUMBA:
-        import numba
-    else:
-        numba = None
-except ImportError:  # pragma: no cover
-    numba = None
 
 
 def backend() -> str:
-    return "numba" if numba is not None else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _categorical_sample_np(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
-    return np.minimum(idx, cdf.size - 1)
-
-
-def _conditional_sample_np(cdf_rows: np.ndarray, conditions: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    # one comparison row per position; rows are short
-    idx = (uniforms[:, None] >= cdf_rows[conditions]).sum(axis=1).astype(np.int64)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
-
-
-def _pair_score_sums_np(table: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    return table[a_idx, b_idx].sum(axis=1)
-
-
-def _codebook_scores_np(table: np.ndarray, codewords: np.ndarray, y_block: np.ndarray) -> np.ndarray:
-    return table[codewords, y_block[None, :]].sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _categorical_sample_nb(cdf, uniforms):  # pragma: no cover - jitted
-        out = np.empty(uniforms.size, dtype=np.int64)
-        for i in range(uniforms.size):
-            u = uniforms[i]
-            j = 0
-            while j < cdf.size - 1 and u >= cdf[j]:
-                j += 1
-            out[i] = j
-        return out
-
-    @numba.njit(cache=True)
-    def _conditional_sample_nb(cdf_rows, conditions, uniforms):  # pragma: no cover
-        out = np.empty(uniforms.size, dtype=np.int64)
-        k = cdf_rows.shape[1]
-        for i in range(uniforms.size):
-            row = conditions[i]
-            u = uniforms[i]
-            j = 0
-            while j < k - 1 and u >= cdf_rows[row, j]:
-                j += 1
-            out[i] = j
-        return out
-
-    @numba.njit(cache=True, parallel=True)
-    def _pair_score_sums_nb(table, a_idx, b_idx):  # pragma: no cover
-        d, n = a_idx.shape
-        out = np.empty(d)
-        for i in numba.prange(d):
-            acc = 0.0
-            for j in range(n):
-                acc += table[a_idx[i, j], b_idx[i, j]]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True, parallel=True)
-    def _codebook_scores_nb(table, codewords, y_block):  # pragma: no cover
-        t, n = codewords.shape
-        out = np.empty(t)
-        for i in numba.prange(t):
-            acc = 0.0
-            for j in range(n):
-                acc += table[codewords[i, j], y_block[j]]
-            out[i] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def categorical_sample(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling of i.i.d. symbols from one pmf."""
-    cdf = np.ascontiguousarray(cdf)
-    uniforms = np.ascontiguousarray(uniforms)
-    if numba is not None:
-        return _categorical_sample_nb(cdf, uniforms)
-    return _categorical_sample_np(cdf, uniforms)
-
-
-def conditional_sample(cdf_rows: np.ndarray, conditions: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Per-position inverse-CDF sampling with a condition index per position."""
-    cdf_rows = np.ascontiguousarray(cdf_rows)
-    conditions = np.ascontiguousarray(conditions, dtype=np.int64)
-    uniforms = np.ascontiguousarray(uniforms)
-    if numba is not None:
-        return _conditional_sample_nb(cdf_rows, conditions, uniforms)
-    return _conditional_sample_np(cdf_rows, conditions, uniforms)
-
-
-def pair_score_sums(table: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    """Row sums of table[a, b] over aligned index blocks of shape (draws, n)."""
-    table = np.ascontiguousarray(table)
-    a_idx = np.ascontiguousarray(a_idx, dtype=np.int64)
-    b_idx = np.ascontiguousarray(b_idx, dtype=np.int64)
-    if numba is not None:
-        return _pair_score_sums_nb(table, a_idx, b_idx)
-    return _pair_score_sums_np(table, a_idx, b_idx)
+    """Name of the array backend the kernels run on."""
+    return "numpy"
 
 
 def codebook_scores(table: np.ndarray, codewords: np.ndarray, y_block: np.ndarray) -> np.ndarray:
     """Density score of one output block against every codeword row."""
-    table = np.ascontiguousarray(table)
-    codewords = np.ascontiguousarray(codewords, dtype=np.int64)
-    y_block = np.ascontiguousarray(y_block, dtype=np.int64)
-    if numba is not None:
-        return _codebook_scores_nb(table, codewords, y_block)
-    return _codebook_scores_np(table, codewords, y_block)
+    return table[codewords, y_block[None, :]].sum(axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .capacity import CapacityResult, _averaged_channel_candidate, optimize_gp_policy
-from .info import SpectrumSamples, mutual_information
+from .info import SpectrumSamples, counts_scores, mutual_information
 from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, compose_joint, marginal
 from .rng import stream
 
@@ -44,6 +44,8 @@ class MixtureSpec:
             if not comps:
                 raise ValidationError(f"{name} mixture is empty")
             weights = np.array([w for w, _ in comps], dtype=np.float64)
+            if not np.isfinite(weights).all():
+                raise ValidationError(f"{name} mixture has a non-finite weight")
             if (weights < 0).any():
                 raise ValidationError(f"{name} mixture has a negative weight")
             if abs(weights.sum() - 1.0) > 1e-9:
@@ -139,15 +141,6 @@ def _component_tables(mix: MixtureSpec, policy: GPPolicy):
     return cells, log_uy, log_u, log_y, np.log(cw), np.log(sw)
 
 
-def _counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
-    """sum_i log_table[cell_i] from multinomial cell counts; -inf-safe."""
-    finite = np.where(np.isfinite(log_table), log_table, 0.0)
-    out = counts @ finite.ravel()
-    bad = counts[:, ~np.isfinite(log_table).ravel()].sum(axis=1) > 0
-    out[bad] = -np.inf
-    return out
-
-
 def mixture_spectrum_demo(
     mix: MixtureSpec,
     policy: GPPolicy,
@@ -166,9 +159,9 @@ def mixture_spectrum_demo(
     the log.
     """
     if draws < 1:
-        raise ValueError("draws must be positive")
+        raise ValidationError("draws must be positive")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValidationError("n must be positive")
     cells, log_uy, log_u, log_y, log_cw, log_sw = _component_tables(mix, policy)
     k_n, l_n, n_u, n_y = cells.shape
     rng = stream(seed, 0x5BEC)
@@ -185,19 +178,19 @@ def mixture_spectrum_demo(
         # conditional score log P(y|u) = log P(u,y) - log P(u), per component
         joint_scores = np.stack(
             [
-                _counts_scores(counts, log_uy[k, l]) + log_cw[k] + log_sw[l]
+                counts_scores(counts, log_uy[k, l]) + log_cw[k] + log_sw[l]
                 for k in range(k_n)
                 for l in range(l_n)
             ]
         )  # (KL, m): log of weighted block joint P(u,y) per component
         u_counts = counts.reshape(-1, n_u, n_y).sum(axis=2)
         u_scores = np.stack(
-            [_counts_scores(u_counts, log_u[l]) + log_sw[l] for l in range(l_n)]
+            [counts_scores(u_counts, log_u[l]) + log_sw[l] for l in range(l_n)]
         )
         y_counts = counts.reshape(-1, n_u, n_y).sum(axis=1)
         y_scores = np.stack(
             [
-                _counts_scores(y_counts, log_y[k, l]) + log_cw[k] + log_sw[l]
+                counts_scores(y_counts, log_y[k, l]) + log_cw[k] + log_sw[l]
                 for k in range(k_n)
                 for l in range(l_n)
             ]

@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .rng import stream
-
 NORM_TOL = 1e-12
 
 
@@ -26,6 +23,8 @@ class DimensionError(ValueError):
 
 
 def _check_pmf(p: np.ndarray, what: str) -> None:
+    if not np.isfinite(p).all():
+        raise ValidationError(f"{what}: non-finite entry")
     if np.any(p < 0):
         raise ValidationError(f"{what}: negative entry")
     if abs(float(p.sum()) - 1.0) > NORM_TOL:
@@ -55,19 +54,14 @@ class Pmf:
     def size(self) -> int:
         return self.probs.size
 
-    def sample(self, n: int, seed: int, stream_id: int = 0) -> np.ndarray:
-        """Draw n i.i.d. symbols; deterministic given (seed, stream_id)."""
-        u = stream(seed, stream_id).random(n)
-        return kernels.categorical_sample(np.cumsum(self.probs), u)
-
 
 @dataclass(frozen=True)
 class ConditionalPmf:
     """Stochastic matrix: one Pmf over outputs per condition symbol.
 
     Rows may be marked undefined (e.g. a conditional extracted from a
-    joint on a zero-probability condition); using an undefined row for
-    sampling is an error.
+    joint on a zero-probability condition); undefined rows are not
+    validated and hold no law.
     """
 
     rows: np.ndarray
@@ -97,15 +91,6 @@ class ConditionalPmf:
     def n_outputs(self) -> int:
         return self.rows.shape[1]
 
-    def sample(self, conditions: np.ndarray, seed: int, stream_id: int = 0) -> np.ndarray:
-        """One output symbol per condition symbol, i.i.d. across positions."""
-        conditions = np.asarray(conditions)
-        if not self.row_defined[conditions].all():
-            raise ValidationError("sampling from an undefined conditional row")
-        u = stream(seed, stream_id).random(conditions.size)
-        cdf = np.cumsum(self.rows, axis=1)
-        return kernels.conditional_sample(cdf, conditions, u)
-
 
 @dataclass(frozen=True)
 class ChannelKernel:
@@ -133,17 +118,6 @@ class ChannelKernel:
     @property
     def n_outputs(self) -> int:
         return self.w.shape[2]
-
-    def sample(self, states: np.ndarray, inputs: np.ndarray, seed: int, stream_id: int = 0) -> np.ndarray:
-        states = np.asarray(states)
-        inputs = np.asarray(inputs)
-        if states.shape != inputs.shape:
-            raise DimensionError("state and input sequences must align")
-        flat = self.w.reshape(-1, self.n_outputs)
-        cond = states * self.n_inputs + inputs
-        u = stream(seed, stream_id).random(states.size)
-        cdf = np.cumsum(flat, axis=1)
-        return kernels.conditional_sample(cdf, cond, u)
 
 
 @dataclass(frozen=True)
@@ -217,10 +191,7 @@ class JointSystem:
         p = np.asarray(self.joint, dtype=np.float64)
         if p.ndim != 4:
             raise ValidationError("JointSystem must have axes (s,u,x,y)")
-        if np.any(p < 0):
-            raise ValidationError("negative joint entry")
-        if abs(float(p.sum()) - 1.0) > NORM_TOL:
-            raise ValidationError("joint does not sum to 1")
+        _check_pmf(p, "joint")
         object.__setattr__(self, "joint", _freeze(p))
 
     AXES = "suxy"
@@ -256,10 +227,6 @@ def marginal(joint: JointSystem, keep: str) -> np.ndarray:
     return joint.joint.sum(axis=drop)
 
 
-def marginal_pmf(joint: JointSystem, axis_name: str) -> Pmf:
-    return Pmf(marginal(joint, axis_name))
-
-
 def conditional(joint: JointSystem, target: str, given: str) -> ConditionalPmf:
     """P(target | given) with rows on zero-mass conditions marked undefined.
 
@@ -280,17 +247,3 @@ def conditional(joint: JointSystem, target: str, given: str) -> ConditionalPmf:
     rows[defined] = flat[defined] / mass[defined, None]
     return ConditionalPmf(rows, row_defined=defined)
 
-
-def sample_iid(spec, n: int, seed: int, stream_id: int = 0, conditions=None, inputs=None):
-    """Seed-deterministic i.i.d. sampling from any of the three spec types."""
-    if isinstance(spec, Pmf):
-        return spec.sample(n, seed, stream_id)
-    if isinstance(spec, ConditionalPmf):
-        if conditions is None:
-            raise DimensionError("ConditionalPmf sampling needs a condition sequence")
-        return spec.sample(np.asarray(conditions), seed, stream_id)
-    if isinstance(spec, ChannelKernel):
-        if conditions is None or inputs is None:
-            raise DimensionError("ChannelKernel sampling needs state and input sequences")
-        return spec.sample(np.asarray(conditions), np.asarray(inputs), seed, stream_id)
-    raise TypeError(f"cannot sample from {type(spec).__name__}")

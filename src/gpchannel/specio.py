@@ -40,6 +40,8 @@ def _require(obj: dict, key: str, context: str):
 
 def _normalize_rows(arr: np.ndarray, context: str) -> np.ndarray:
     """Validate the trailing axis as pmf rows, renormalizing tiny drift."""
+    if not np.isfinite(arr).all():
+        raise SpecError(f"{context}: non-finite probability entry")
     if (arr < 0).any():
         raise SpecError(f"{context}: negative probability entry")
     sums = arr.sum(axis=-1)

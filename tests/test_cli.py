@@ -114,6 +114,56 @@ class TestCapacityCommand:
         assert csv_lines[3] == "n,average_nats"
         assert len(csv_lines) == 4 + 2048
 
+    def test_j_structured_solves_each_constituent_once(self, tmp_path, monkeypatch):
+        import gpchannel.capacity as capacity
+
+        calls = []
+        solve = capacity.gp_capacity_dm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "gp_capacity_dm", counting)
+        spec = write_spec(
+            tmp_path,
+            {
+                "kind": "j-structured",
+                "channels": {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]},
+                "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]},
+                "n_max": 64,
+            },
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_j_structured_rejects_asymmetric_odd_channel(self, tmp_path, key):
+        channels = {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]}
+        channels[key] = [[[0.9, 0.1], [0.3, 0.7]], bsc(0.1)]
+        spec = write_spec(
+            tmp_path,
+            {"kind": "j-structured", "channels": channels, "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]}},
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert f"channels.{key}" in res.output
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pmf_names_key(self, tmp_path, bad):
+        spec = write_spec(tmp_path, system_spec(state_pmf=[bad, 1.0]))
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "state_pmf" in res.output
+        assert not (tmp_path / "o" / "capacity.txt").exists()
+
+    def test_zero_u_size_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, system_spec(u_size=0))
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "u_size" in res.output
+
     def test_malformed_pmf_names_key(self, tmp_path):
         spec = write_spec(tmp_path, system_spec(state_pmf=[0.6, 0.3]))
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -138,6 +188,12 @@ class TestSpectrumCommand:
         spec = write_spec(tmp_path, system_spec())
         res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
+
+    def test_zero_blocklength(self, tmp_path):
+        spec = write_spec(tmp_path, mixture_spec())
+        res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", "0"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "n must be positive" in res.output
 
     def test_zero_draws(self, tmp_path):
         spec = write_spec(tmp_path, mixture_spec())

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from gpchannel.cli import _write_csv
 from gpchannel.coding import (
+    TRIAL_COLUMNS,
     BudgetError,
     Codebook,
     CodingExperiment,
@@ -19,12 +21,11 @@ from gpchannel.coding import (
     eta_exact,
     run_experiment,
     wilson_interval,
-    write_trial_log,
 )
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError
 from gpchannel.rng import stream
 
-from conftest import bin_capacity, identity_policy, state_blind_bsc
+from conftest import bin_capacity, identity_policy, state_blind_bsc, state_flip_bsc
 
 
 @pytest.fixture
@@ -211,10 +212,25 @@ class TestRunExperiment:
         exp_ = design_experiment(bsc_system, 60, 0.02, 0.02, rate=0.5 * bsc_system.i_uy, seed=10, trials=20)
         rep = run_experiment(bsc_system, exp_, pi_draws=1000)
         path = tmp_path / "trials.csv"
-        write_trial_log(rep.trials, path)
+        _write_csv(path, [], TRIAL_COLUMNS, (r.csv_row() for r in rep.trials))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "trial,message,L,e1,e2,e3,decoded,ok"
         assert len(lines) == 21
+
+    def test_confusion_rate_within_bound_at_long_blocks(self, uniform_state):
+        # n * t1 = 2500 * 0.348 = 870 nats: q(y) ~ exp(-870) is below the
+        # smallest float, so the confusion estimate must stay in log space
+        policy = GPPolicy(
+            u_given_s=ConditionalPmf(np.array([[0.5, 0.5], [0.5, 0.5]])),
+            x_map=np.array([[0, 1], [1, 0]]),
+        )
+        system = MemorylessSystem(uniform_state, policy, state_flip_bsc(0.1))
+        rate = 0.7 * (system.i_uy - system.i_us)
+        exp_ = design_experiment(system, 2500, 0.02, 0.02, rate=rate, seed=11, trials=40)
+        th = default_thresholds(system, 0.02, 0.02)
+        assert exp_.n * th.t1 > 700
+        rep = run_experiment(system, exp_, mode="implicit", pi_draws=2000)
+        assert rep.event_rates()["e3"] <= rep.rho_terms["confusion"]
 
 
 def test_wilson_interval_limits():

@@ -12,8 +12,8 @@ from gpchannel.prob import (
     compose_joint,
     conditional,
     marginal,
-    sample_iid,
 )
+from gpchannel.coding import sample
 from gpchannel.rng import stream
 
 from conftest import identity_policy, state_blind_bsc
@@ -27,6 +27,11 @@ class TestValidation:
     def test_pmf_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             Pmf(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pmf_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Pmf(np.array([bad, 1.0]))
 
     def test_pmf_accepts_tolerance(self):
         Pmf(np.array([0.5, 0.5 + 5e-13]))
@@ -132,36 +137,38 @@ class TestMarginalConditional:
 
 
 class TestSampling:
+    """The simulator's one inverse-CDF sampler on the three law types."""
+
     def test_degenerate_pmf_constant(self):
         p = Pmf(np.array([0.0, 0.0, 1.0]))
-        assert (sample_iid(p, 1000, seed=3) == 2).all()
+        assert (sample(p.probs, stream(3, 0).random(1000)) == 2).all()
 
     def test_bernoulli_frequency(self):
         p = Pmf(np.array([0.5, 0.5]))
-        x = sample_iid(p, 10**6, seed=4)
+        x = sample(p.probs, stream(4, 0).random(10**6))
         assert abs(x.mean() - 0.5) < 0.002
 
     def test_empirical_tv_distance(self):
         p = Pmf(np.array([0.1, 0.2, 0.3, 0.4]))
-        x = sample_iid(p, 10**6, seed=5)
+        x = sample(p.probs, stream(5, 0).random(10**6))
         freq = np.bincount(x, minlength=4) / x.size
         assert 0.5 * np.abs(freq - p.probs).sum() < 0.005
 
     def test_determinism(self):
         p = Pmf(np.array([0.3, 0.7]))
-        a = sample_iid(p, 5000, seed=6)
-        b = sample_iid(p, 5000, seed=6)
+        a = sample(p.probs, stream(6, 0).random(5000))
+        b = sample(p.probs, stream(6, 0).random(5000))
         np.testing.assert_array_equal(a, b)
 
     def test_conditional_sampling_respects_rows(self):
         rows = ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]]))
         conds = np.array([0, 1, 0, 1] * 50)
-        out = sample_iid(rows, conds.size, seed=7, conditions=conds)
+        out = sample(rows.rows[conds], stream(7, 0).random(conds.size))
         np.testing.assert_array_equal(out, conds)
 
     def test_channel_sampling(self):
         ch = state_blind_bsc(0.0)
         states = np.zeros(100, dtype=np.int64)
         inputs = np.tile([0, 1], 50)
-        out = sample_iid(ch, 100, seed=8, conditions=states, inputs=inputs)
+        out = sample(ch.w[states, inputs], stream(8, 0).random(100))
         np.testing.assert_array_equal(out, inputs)
