@@ -1,6 +1,8 @@
 """Capacities, rate regions, and random-coding simulation for discrete
 state-dependent channels with encoder side information."""
 
+__version__ = "0.1.0"
+
 from .capacity import (
     CapacityResult,
     SequenceSpec,

@@ -20,6 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .capacity import (
     SequenceSpec,
     cesaro_capacity,
@@ -45,8 +46,8 @@ HIST_BIN_NATS = 0.005
 def _tool_version() -> str:
     try:
         return pkg_version("gpchannel")
-    except PackageNotFoundError:
-        return "unknown"
+    except PackageNotFoundError:  # run from a source tree
+        return __version__
 
 
 def _digest(path) -> str:
@@ -186,6 +187,8 @@ def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
         _fail(EXIT_VALIDATION, "spectrum requires a policy in the spec")
     if draws < 1:
         _fail(EXIT_VALIDATION, "draws must be positive")
+    if not 0.0 < delta < 1.0:
+        _fail(EXIT_VALIDATION, f"--delta must lie in (0, 1), got {delta}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(seed, spec_path)

@@ -40,6 +40,9 @@ from .rng import stream
 
 CODEWORD_CAP = 2**22
 WORK_CAP = 2**30
+# uniforms per codebook draw chunk, and scores per explicit decode batch
+_DRAW_CELLS = 2**18
+_DECODE_SCORES = 2**21
 _MESSAGE_LABEL_CAP = 2**62
 
 
@@ -202,11 +205,11 @@ def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """
     cdf = np.cumsum(probs, axis=-1)
     last = np.argmax(cdf == cdf[..., -1:], axis=-1)
-    if cdf.ndim == 1:
-        # no (draws, m) temporary: codebooks draw hundreds of MB at once
-        idx = np.searchsorted(cdf, uniforms, side="right")
-    else:
-        idx = (uniforms[:, None] >= cdf).sum(axis=1)
+    # idx counts the cdf entries at or below u; the last entry needs no
+    # comparison, as a u at or above it is capped to `last` either way
+    idx = np.zeros(np.shape(uniforms), dtype=np.intp)
+    for j in range(cdf.shape[-1] - 1):
+        idx += uniforms >= cdf[..., j]
     return np.minimum(idx, last, out=idx)
 
 
@@ -303,7 +306,7 @@ def eta_exact(
 class Codebook:
     """Materialized i.i.d. codebook partitioned into contiguous bins."""
 
-    words: np.ndarray  # (total, n) auxiliary symbols
+    words: np.ndarray  # (total, n) auxiliary symbols, one byte each up to 256 symbols
     subcodebook_size: int
     message_count: int
     seed: int
@@ -323,8 +326,13 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
         raise BudgetError(
             f"decode work {total * experiment.n} exceeds the {WORK_CAP} cap; reduce n or rates"
         )
+    p_u = np.asarray(p_u, dtype=np.float64)
     rng = stream(experiment.seed, 0xB00C)
-    words = sample(np.asarray(p_u, dtype=np.float64), rng.random((total, experiment.n)))
+    words = np.empty((total, experiment.n), dtype=np.min_scalar_type(p_u.size - 1))
+    # row chunks read the stream in the same order as one (total, n) draw
+    rows = max(1, _DRAW_CELLS // experiment.n)
+    for lo in range(0, total, rows):
+        words[lo : lo + rows] = sample(p_u, rng.random(words[lo : lo + rows].shape))
     return Codebook(
         words=words,
         subcodebook_size=experiment.subcodebook_size,
@@ -384,15 +392,19 @@ def decode(
     thresholds: TypicalityThresholds,
 ) -> int | None:
     """Unique-bin threshold decoder; None when zero or multiple bins hit."""
-    return _decode_hits(codebook, y_block, system, thresholds)[0]
+    return _decode_hits(codebook, np.asarray(y_block)[None], system, thresholds)[0][0]
 
 
-def _decode_hits(codebook, y_block, system, thresholds) -> tuple[int | None, np.ndarray]:
-    """(decoded message or None, indices of the T1-typical codewords)."""
-    scores = kernels.codebook_scores(system.d_uy, codebook.words, y_block.astype(np.int64))
-    hits = np.flatnonzero(scores >= y_block.size * thresholds.t1)
-    messages = np.unique(hits // codebook.subcodebook_size)
-    return (int(messages[0]) if messages.size == 1 else None), hits
+def _decode_hits(codebook, y_blocks, system, thresholds) -> list[tuple[int | None, np.ndarray]]:
+    """Per row of the (T, n) y_blocks: (decoded message or None,
+    indices of the T1-typical codewords)."""
+    scores = kernels.codebook_scores(system.d_uy, codebook.words, y_blocks)
+    out = []
+    for typical in scores >= y_blocks.shape[1] * thresholds.t1:
+        hits = np.flatnonzero(typical)
+        messages = np.unique(hits // codebook.subcodebook_size)
+        out.append(((int(messages[0]) if messages.size == 1 else None), hits))
+    return out
 
 
 def _atypical(system: MemorylessSystem, u_block: np.ndarray, y_block: np.ndarray, t1: float) -> bool:
@@ -498,31 +510,39 @@ def _confusion_probability(
 
 
 def _run_explicit(system, experiment, thresholds, pi, inner_draws):
+    """Encode and transmit every trial, then decode the received blocks
+    in batches of trials, each batch one pass over the codebook."""
     codebook = build_code(experiment, system.p_u)
     covering_threshold = math.sqrt(pi["pi1"])
-    records = []
     n = experiment.n
+    sent = []  # (message, L, e1, e2) per trial
+    y_blocks = np.empty((experiment.trials, n), dtype=np.intp)
     for t in range(experiment.trials):
         rng = stream(experiment.seed, 0x7121, t)
         message = int(rng.integers(codebook.message_count))
         s_block = sample(system.state.probs, rng.random(n))
         enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
-        y_block = sample(system.channel.w[s_block, enc.x_block], rng.random(n))
-        decoded, hits = _decode_hits(codebook, y_block, system, thresholds)
+        y_blocks[t] = sample(system.channel.w[s_block, enc.x_block], rng.random(n))
+        e2 = _atypical(system, enc.u_block, y_blocks[t], thresholds.t1)
+        sent.append((message, enc.l_index, enc.covering_failed, e2))
+    batch = max(1, _DECODE_SCORES // codebook.words.shape[0])
+    decoded_hits = []
+    for lo in range(0, experiment.trials, batch):
+        decoded_hits += _decode_hits(codebook, y_blocks[lo : lo + batch], system, thresholds)
+    records = []
+    for t, ((message, l_index, e1, e2), (decoded, hits)) in enumerate(zip(sent, decoded_hits)):
         lo, hi = codebook.bin_range(message)
-        # confusion: some other bin held a typical codeword
-        e3 = bool(((hits < lo) | (hits >= hi)).any())
-        ok = decoded == message
         records.append(
             TrialRecord(
                 trial=t,
                 message=message,
-                l_index=enc.l_index,
-                e1=enc.covering_failed,
-                e2=_atypical(system, enc.u_block, y_block, thresholds.t1),
-                e3=e3,
+                l_index=l_index,
+                e1=e1,
+                e2=e2,
+                # confusion: some other bin held a typical codeword
+                e3=bool(((hits < lo) | (hits >= hi)).any()),
                 decoded=-1 if decoded is None else decoded,
-                ok=bool(ok),
+                ok=decoded == message,
             )
         )
     return records, "explicit"

@@ -107,6 +107,8 @@ def maximize_mixed_lower_bound(
     n_states = states[0].size
     if u_size is None:
         u_size = n_inputs * n_states + 1
+    if u_size < 1:
+        raise ValidationError("u_size must be >= 1")
     cand = [_averaged_channel_candidate(states, chans, u_size, n_inputs)]
     value, v, g, diag = optimize_gp_policy(
         states, chans, u_size, restarts=restarts, iters=iters, seed=seed, candidates=tuple(cand)

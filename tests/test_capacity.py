@@ -97,6 +97,7 @@ class TestGPCapacity:
 
 
 class TestGridOracle:
+    @pytest.mark.slow
     def test_state_flip_grid_search(self, uniform_state):
         """Brute-force grid over P(u|s) at resolution 1/64 with u_size=3,
         deterministic maps deduped by auxiliary-symbol relabeling."""

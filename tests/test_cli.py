@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from gpchannel import __version__
 from gpchannel.cli import EXIT_BUDGET, EXIT_VALIDATION, main
 
 from conftest import bin_capacity
@@ -62,7 +64,7 @@ class TestCapacityCommand:
         value = float(next(l for l in text.splitlines() if l.startswith("value_nats=")).split("=")[1])
         assert value == pytest.approx(bin_capacity(0.1), abs=1e-6)
         headers = read_headers(out / "capacity.txt")
-        assert headers[0].startswith("# gpchannel ")
+        assert headers[0] == f"# gpchannel {__version__}"
         assert headers[1] == "# seed=1"
         assert headers[2].startswith("# spec_digest=")
 
@@ -94,6 +96,7 @@ class TestCapacityCommand:
         # the worst component dominates the exact mixed objective
         assert 0.0 < value <= bin_capacity(0.25) + 1e-9
 
+    @pytest.mark.slow
     def test_j_structured_outputs(self, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -164,6 +167,16 @@ class TestCapacityCommand:
         assert res.exit_code == EXIT_VALIDATION
         assert "u_size" in res.output
 
+    def test_mixture_zero_u_size_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, dict(mixture_spec(), u_size=0))
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "u_size" in res.output
+
+    def test_version_matches_project_metadata(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__ == "0.1.0"
+
     def test_malformed_pmf_names_key(self, tmp_path):
         spec = write_spec(tmp_path, system_spec(state_pmf=[0.6, 0.3]))
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -200,6 +213,15 @@ class TestSpectrumCommand:
         res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--draws", "0"])
         assert res.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("delta", ["0", "1.5"])
+    def test_delta_outside_unit_interval(self, tmp_path, delta):
+        spec = write_spec(tmp_path, mixture_spec())
+        res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", "50",
+                   "--draws", "200", "--delta", delta])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "--delta" in res.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestSimulateCommand:
     def test_round_trip_and_reproducibility(self, tmp_path):
@@ -233,6 +255,7 @@ class TestSimulateCommand:
 
 
 class TestRegionCommand:
+    @pytest.mark.slow
     def test_round_trip(self, tmp_path):
         spec = write_spec(
             tmp_path,

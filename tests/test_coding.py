@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gpchannel import coding
 from gpchannel.cli import _write_csv
 from gpchannel.coding import (
     TRIAL_COLUMNS,
@@ -20,6 +21,7 @@ from gpchannel.coding import (
     eta,
     eta_exact,
     run_experiment,
+    sample,
     wilson_interval,
 )
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError
@@ -118,6 +120,16 @@ class TestCodebook:
         assert a.subcodebook_size == 2
         assert a.message_count == 4
 
+    def test_words_are_bytes_from_one_uniform_draw(self):
+        exp_ = CodingExperiment(n=20, gamma1=0.0, gamma2=0.0, rate=0.35, rate_total=0.5, seed=4)
+        p_u = np.array([0.3, 0.0, 0.7])
+        code = build_code(exp_, p_u)
+        # the codebook spans more than one draw chunk
+        assert code.words.size > coding._DRAW_CELLS
+        assert code.words.dtype == np.uint8
+        ref = sample(p_u, stream(exp_.seed, 0xB00C).random(code.words.shape))
+        np.testing.assert_array_equal(code.words, ref)
+
     def test_single_codeword_bins(self):
         exp_ = CodingExperiment(n=8, gamma1=0.0, gamma2=0.0, rate=math.log(4) / 8, rate_total=math.log(4) / 8)
         code = build_code(exp_, np.array([0.5, 0.5]))
@@ -196,6 +208,33 @@ class TestRunExperiment:
         b = run_experiment(bsc_system, exp_, pi_draws=2000)
         assert a.trials == b.trials
         assert a.empirical_error == b.empirical_error
+
+    def test_batched_decoding_matches_per_trial(self, bsc_system, monkeypatch):
+        exp_ = design_experiment(bsc_system, 20, 0.02, 0.02, rate=0.5 * bsc_system.i_uy, seed=12, trials=25)
+        code = build_code(exp_, bsc_system.p_u)
+        th = default_thresholds(bsc_system, 0.02, 0.02)
+        received = []
+        decode_batch = coding._decode_hits
+
+        def spy(codebook, y_blocks, system, thresholds):
+            received.append(y_blocks.copy())
+            return decode_batch(codebook, y_blocks, system, thresholds)
+
+        monkeypatch.setattr(coding, "_decode_hits", spy)
+        monkeypatch.setattr(coding, "_DECODE_SCORES", 4 * code.words.shape[0])
+        rep = run_experiment(bsc_system, exp_, mode="explicit", pi_draws=1000)
+        monkeypatch.undo()
+        assert [y.shape[0] for y in received] == [4] * 6 + [1]
+        outcomes = set()
+        for record, y in zip(rep.trials, np.concatenate(received)):
+            decoded = decode(code, y, bsc_system, th)
+            # per-position reference scores; every cell of the BSC table is finite
+            hits = np.flatnonzero(bsc_system.d_uy[code.words, y].sum(axis=1) >= y.size * th.t1)
+            lo, hi = code.bin_range(record.message)
+            assert record.decoded == (-1 if decoded is None else decoded)
+            assert record.e3 == bool(((hits < lo) | (hits >= hi)).any())
+            outcomes.add((record.ok, record.e3))
+        assert len(outcomes) > 1
 
     def test_explicit_guard_refusal(self, bsc_system):
         exp_ = design_experiment(bsc_system, 400, 0.02, 0.02, seed=8, trials=10)

@@ -1,12 +1,15 @@
-"""Property tests for the two primitives every estimator shares: the
-counts-times-log-table block score and the inverse-CDF sampler."""
+"""Property tests for the primitives every estimator shares: the
+counts-times-log-table block score, the explicit decoder's type-count
+scores built on it, and the inverse-CDF sampler."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpchannel import kernels
 from gpchannel.coding import sample
 from gpchannel.info import counts_scores
 
@@ -34,6 +37,21 @@ def pmf(draw, size):
     return w / w.sum()
 
 
+@st.composite
+def codebook_case(draw):
+    n_u, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf), st.just(math.nan))
+    table = np.array(draw(st.lists(cell, min_size=n_u * n_y, max_size=n_u * n_y))).reshape(n_u, n_y)
+    n, words, blocks = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+
+    def symbols(below, shape, dtype):
+        cells = draw(st.lists(st.integers(0, below - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(cells, dtype=dtype).reshape(shape)
+
+    codewords = symbols(n_u, (words, n), draw(st.sampled_from([np.uint8, np.int64])))
+    return table, codewords, symbols(n_y, (blocks, n), np.int64)
+
+
 _uniforms = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30)
 
 
@@ -51,6 +69,28 @@ def test_counts_scores_matches_direct_sum(data):
             direct = math.fsum(c * t for c, t in zip(row[counted], table[counted]))
             assert math.isfinite(value)
             assert math.isclose(value, direct, rel_tol=1e-12, abs_tol=1e-9)
+
+
+@settings(deadline=None)
+@given(codebook_case(), st.integers(1, 64))
+def test_codebook_scores_match_per_cell_sum(case, chunk_elements):
+    table, codewords, y_blocks = case
+    # small chunks make the kernel walk the codebook in several row chunks
+    with mock.patch.object(kernels, "_CHUNK_ELEMENTS", chunk_elements):
+        got = kernels.codebook_scores(table, codewords, y_blocks)
+        first = kernels.codebook_scores(table, codewords, y_blocks[0])
+    assert got.shape == (y_blocks.shape[0], codewords.shape[0])
+    assert first.shape == (codewords.shape[0],)
+    assert not np.isnan(got).any()
+    for block, row in zip(y_blocks, got):
+        for word, value in zip(codewords, row):
+            cells = table[word, block]
+            if not np.isfinite(cells).all():
+                assert value == -math.inf
+            else:
+                assert math.isfinite(value)
+                assert math.isclose(value, math.fsum(cells), rel_tol=1e-12, abs_tol=1e-9)
+    np.testing.assert_allclose(first, got[0], rtol=1e-12, atol=1e-9)
 
 
 @settings(deadline=None)

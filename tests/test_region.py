@@ -73,6 +73,7 @@ class TestFrontier:
         with pytest.raises(ValidationError):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[-0.1, 0.0])
 
+    @pytest.mark.slow
     def test_endpoints_state_flip(self, uniform_state):
         channel = state_flip_bsc(0.1)
         pts = region_frontier(
@@ -86,6 +87,7 @@ class TestFrontier:
         for pt in pts:
             assert region_membership(pt, channel, uniform_state)
 
+    @pytest.mark.slow
     def test_monotone_and_membership_asym(self, uniform_state):
         channel = asym_bsc()
         grid = [0.0, 0.05, 0.15, math.log(2)]
@@ -113,6 +115,7 @@ class TestFrontier:
             assert pt.r == pytest.approx(cap, abs=2e-3)
         assert saturation_knee(pts) == 0.0
 
+    @pytest.mark.slow
     def test_determinism(self, uniform_state):
         channel = asym_bsc()
         kw = dict(v_size=3, u_size=4, rd_grid=[0.0, 0.2], restarts=2, seed=3)
