@@ -27,6 +27,7 @@ from .rng import stream
 
 _LOG_FLOOR = 1e-26
 _EXHAUSTIVE_G_CAP = 10**6
+_USED_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -128,66 +129,56 @@ def _slog(x: np.ndarray) -> np.ndarray:
 
 
 def _objective_terms(v, q_list, wg_list_per_k):
-    """Exact objective min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row.
+    """Exact objective min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row,
+    with the intermediates its gradient reuses.
 
     v: (B,S,U); q_list: list of (S,) state pmfs; wg_list_per_k: list over k
-    of (B,U,S,Y) effective kernels. Returns (obj, i1 stack (K,L,B),
-    i2 stack (L,B)).
+    of (S,B,U,Y) effective kernels. Returns, batch axis first: obj (B,),
+    i1 (B,K,L), i2 (B,L), log a - log p_Y (B,K,L,U,Y), log p_U (B,L,U) and
+    log v (B,S,U), where a is the joint law of (U,Y).
     """
-    i2 = []
-    pu_by_l = []
+    log_v = _slog(v)
+    qv_by_l, log_pu, i2 = [], [], []
     for q in q_list:
-        pu = np.einsum("s,bsu->bu", q, v)
-        pu_by_l.append(pu)
         qv = q[None, :, None] * v
-        term = np.where(qv > 0, qv * (_slog(v) - _slog(pu)[:, None, :]), 0.0)
-        i2.append(term.sum(axis=(1, 2)))
-    i1 = []
+        lpu = _slog(qv.sum(axis=1))
+        i2.append(np.where(qv > 0, qv * (log_v - lpu[:, None, :]), 0.0).sum(axis=(1, 2)))
+        qv_by_l.append(qv)
+        log_pu.append(lpu)
+    i1, dens = [], []
     for wg in wg_list_per_k:
-        row = []
+        for qv, lpu in zip(qv_by_l, log_pu):
+            # products summed over s in order, with no BLAS call or fused
+            # multiply-add: a row rounds the same whatever batch it is in
+            a = qv[:, 0, :, None] * wg[0]
+            for s in range(1, wg.shape[0]):
+                a = a + qv[:, s, :, None] * wg[s]
+            log_a, log_py = _slog(a), _slog(a.sum(axis=1))[:, None, :]
+            i1.append(np.where(a > 0, a * (log_a - lpu[:, :, None] - log_py), 0.0).sum(axis=(1, 2)))
+            dens.append(log_a - log_py)
+    b, k_n, l_n = v.shape[0], len(wg_list_per_k), len(q_list)
+    i1 = np.stack(i1, axis=1).reshape(b, k_n, l_n)
+    i2 = np.stack(i2, axis=1)
+    obj = i1.reshape(b, -1).min(axis=1) - i2.max(axis=1)
+    dens = np.stack(dens, axis=1).reshape((b, k_n, l_n) + dens[0].shape[1:])
+    return obj, i1, i2, dens, np.stack(log_pu, axis=1), log_v
+
+
+def _gradient(q_list, wg_list_per_k, i1, i2, dens, log_pu, log_v):
+    """Ascent direction of the min/max composite at the active components,
+    from one evaluation's _objective_terms intermediates."""
+    b, k_n, l_n = i1.shape
+    active1 = i1.reshape(b, k_n * l_n).argmin(axis=1)
+    active2 = i2.argmax(axis=1)
+    grad = np.zeros_like(log_v)
+    for k, wg in enumerate(wg_list_per_k):
         for li, q in enumerate(q_list):
-            a = np.einsum("s,bsu,busy->buy", q, v, wg)
-            pu = pu_by_l[li]
-            py = a.sum(axis=1)
-            term = np.where(a > 0, a * (_slog(a) - _slog(pu)[:, :, None] - _slog(py)[:, None, :]), 0.0)
-            row.append(term.sum(axis=(1, 2)))
-        i1.append(row)
-    i1 = np.array([[x for x in row] for row in i1])  # (K,L,B)
-    i2 = np.array(i2)  # (L,B)
-    obj = i1.reshape(-1, i1.shape[-1]).min(axis=0) - i2.max(axis=0)
-    return obj, i1, i2
-
-
-def _gradient(v, q_list, wg_list_per_k, i1, i2):
-    """Ascent direction of the min/max composite at the active components."""
-    b = v.shape[0]
-    k_n, l_n = len(wg_list_per_k), len(q_list)
-    flat = i1.reshape(k_n * l_n, b)
-    active1 = flat.argmin(axis=0)
-    ak, al = np.unravel_index(active1, (k_n, l_n))
-    active2 = i2.argmax(axis=0)
-    grad = np.zeros_like(v)
-    for k in range(k_n):
-        for li in range(l_n):
-            sel = (ak == k) & (al == li)
-            if not sel.any():
-                continue
-            q = q_list[li]
-            wg = wg_list_per_k[k][sel]
-            vs = v[sel]
-            a = np.einsum("s,bsu,busy->buy", q, vs, wg)
-            pu = np.einsum("s,bsu->bu", q, vs)
-            py = a.sum(axis=1)
-            inner = np.einsum("busy,buy->bsu", wg, _slog(a) - _slog(py)[:, None, :])
-            grad[sel] = q[None, :, None] * (inner - _slog(pu)[:, None, :])
-    for li in range(l_n):
-        sel = active2 == li
-        if not sel.any():
-            continue
-        q = q_list[li]
-        vs = v[sel]
-        pu = np.einsum("s,bsu->bu", q, vs)
-        grad[sel] -= q[None, :, None] * (_slog(vs) - _slog(pu)[:, None, :])
+            inner = np.einsum("sbuy,buy->bsu", wg, dens[:, k, li])
+            term = q[None, :, None] * (inner - log_pu[:, li, None, :])
+            grad = np.where((active1 == k * l_n + li)[:, None, None], term, grad)
+    for li, q in enumerate(q_list):
+        term = q[None, :, None] * (log_v - log_pu[:, li, None, :])
+        grad -= np.where((active2 == li)[:, None, None], term, 0.0)
     return grad
 
 
@@ -203,10 +194,52 @@ def _enumerate_g(u_size: int, n_states: int, n_inputs: int) -> np.ndarray:
     return out.reshape(g_count, u_size, n_states)
 
 
+def _onto_relabelling_classes(g_rep: np.ndarray, v0: np.ndarray, n_inputs: int):
+    """Move each start (g, v) onto its relabelling class's smallest map and
+    drop the starts that repeat an earlier one.
+
+    Relabelling U permutes the rows s -> x of g and the columns of v alike
+    and leaves the objective unchanged. A stable sort of g's rows gives the
+    class's lexicographically smallest member, and v's columns follow. A
+    start equal in g and v to an earlier one is dropped, keeping the first
+    in order: the uniform start runs once per class, the near-deterministic
+    start once per distinct assignment of rows to states, and every random
+    start is kept.
+    """
+    b = g_rep.shape[0]
+    place = n_inputs ** np.arange(g_rep.shape[2] - 1, -1, -1)
+    order = np.argsort(g_rep @ place, axis=1, kind="stable")
+    g = np.take_along_axis(g_rep, order[:, :, None], axis=1)
+    v = np.take_along_axis(v0, order[:, None, :], axis=2)
+    key = np.concatenate([g.reshape(b, -1).astype(np.float64), v.reshape(b, -1)], axis=1)
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    return g[first], v[first]
+
+
 def _effective_kernels(w: np.ndarray, g_batch: np.ndarray) -> np.ndarray:
-    """(B,U,S,Y) kernel rows selected by per-element deterministic maps."""
+    """(S,B,U,Y) kernel rows W(y|g(u,s),s) selected by per-row deterministic maps."""
     s_idx = np.arange(w.shape[0])
-    return w[s_idx[None, None, :], g_batch, :]
+    return w[s_idx[:, None, None], g_batch.transpose(2, 0, 1), :]
+
+
+def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
+    """Margin of the best row over the best row with a different effective policy.
+
+    A row's effective policy is the set of its used rows s -> x, each cut
+    to the states that pick it with probability above _USED_MASS. It is
+    blind to relabelling U and to the input a row names for a state that
+    never picks it, which leave the objective unchanged, and to how often
+    a row repeats. 0.0 when every row has the winner's policy.
+    """
+    b, n_states, u_size = v.shape
+    used = v > _USED_MASS
+    cut = np.where(used, g.transpose(0, 2, 1), -1).transpose(0, 2, 1).reshape(b * u_size, n_states)
+    ids = np.unique(cut, axis=0, return_inverse=True)[1].reshape(b, u_size)
+    policies = np.zeros((b, ids.max() + 1), dtype=bool)
+    live = used.any(axis=1)
+    policies[np.nonzero(live)[0], ids[live]] = True
+    rivals = obj[(policies != policies[best]).any(axis=1)]
+    return float(obj.max() - rivals.max()) if rivals.size else 0.0
 
 
 def optimize_gp_policy(
@@ -227,6 +260,8 @@ def optimize_gp_policy(
     k. Returns (value, v, g, diagnostics). Candidates are (v, g) pairs
     evaluated exactly and entered into the restart pool.
     """
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
     n_states = states[0].size
     n_inputs = channels[0].shape[1]
     g_count = n_inputs ** (u_size * n_states)
@@ -258,6 +293,8 @@ def optimize_gp_policy(
         mask[0::per_g] = False
         mask[1::per_g] = False
         v0[mask] = rng.dirichlet(np.ones(u_size), size=(n_rand, n_states))
+    if exhaustive:
+        g_rep, v0 = _onto_relabelling_classes(g_rep, v0, n_inputs)
 
     for cand_v, cand_g in candidates:
         g_rep = np.concatenate([g_rep, np.asarray(cand_g, dtype=np.int64)[None]], axis=0)
@@ -267,19 +304,18 @@ def optimize_gp_policy(
     wg_per_k = [_effective_kernels(np.asarray(w), g_rep) for w in channels]
     v = v0
     step = np.full(b, step0)
-    obj, i1, i2 = _objective_terms(v, states, wg_per_k)
+    terms = _objective_terms(v, states, wg_per_k)
     for _ in range(iters):
-        grad = _gradient(v, states, wg_per_k, i1, i2)
+        grad = _gradient(states, wg_per_k, *terms[1:])
         cand = _project_rows_simplex(v + step[:, None, None] * grad)
-        cobj, ci1, ci2 = _objective_terms(cand, states, wg_per_k)
-        accept = cobj >= obj - 1e-15
+        cterms = _objective_terms(cand, states, wg_per_k)
+        accept = cterms[0] >= terms[0] - 1e-15
         v = np.where(accept[:, None, None], cand, v)
-        obj = np.where(accept, cobj, obj)
-        i1 = np.where(accept[None, None, :], ci1, i1)
-        i2 = np.where(accept[None, :], ci2, i2)
+        terms = tuple(np.where(accept.reshape((b,) + (1,) * (t.ndim - 1)), c, t) for c, t in zip(cterms, terms))
         step = np.where(accept, np.minimum(step * 1.1, 2.0), step * 0.5)
         step = np.maximum(step, 1e-10)
 
+    obj = terms[0]
     order = np.argsort(-obj, kind="stable")
     best = order[0]
     # deterministic tie-break: lexicographic smallest flattened (g, v)
@@ -290,12 +326,11 @@ def optimize_gp_policy(
             for i in near
         ]
         best = near[min(range(near.size), key=lambda j: keys[j])]
-    gap = float(obj[order[0]] - obj[order[1]]) if b > 1 else 0.0
     diagnostics = {
         "restarts": restarts,
         "iterations": iters,
         "batch": b,
-        "top_two_gap": gap,
+        "top_two_gap": _top_two_gap(obj, v, g_rep, best),
         "exhaustive_g": exhaustive,
         "heuristic_warning": not exhaustive,
     }

@@ -117,7 +117,7 @@ def common_options(fn):
 
 @main.command()
 @common_options
-@click.option("--restarts", default=20, show_default=True, type=int)
+@click.option("--restarts", default=20, show_default=True, type=click.IntRange(min=1))
 def capacity(spec_path, out_dir, seed, workers, restarts):
     """Single-letter capacities for a system, mixture, or structured sequence."""
     spec = _load(spec_path)
@@ -279,9 +279,9 @@ def _bern_sigma(p: float, n: int) -> float:
 
 @main.command()
 @common_options
-@click.option("--v-size", default=None, type=int)
-@click.option("--u-size", default=None, type=int)
-@click.option("--restarts", default=6, show_default=True, type=int)
+@click.option("--v-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's v_size, then the cardinality bound.")
+@click.option("--u-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's u_size, then the cardinality bound.")
+@click.option("--restarts", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--grid-points", default=9, show_default=True, type=int)
 def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_points):
     """(R, R_d) frontier for a rate-limited state description at the decoder."""
@@ -298,7 +298,9 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         rd_grid = np.linspace(0.0, _math.log(max(spec["channel"].n_states, 2)), grid_points)
     try:
         points = region_frontier(
-            spec["channel"], spec["state"], v_size=v_size, u_size=u_size,
+            spec["channel"], spec["state"],
+            v_size=spec.get("v_size") if v_size is None else v_size,
+            u_size=spec.get("u_size") if u_size is None else u_size,
             rd_grid=np.asarray(rd_grid, dtype=np.float64), restarts=restarts, seed=seed,
         )
     except ValidationError as exc:

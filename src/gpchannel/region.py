@@ -195,6 +195,9 @@ def region_frontier(
     bound_u = channel.n_inputs * channel.n_states * bound_v
     v_size = bound_v if v_size is None else v_size
     u_size = bound_u if u_size is None else u_size
+    for name, value in (("v_size", v_size), ("u_size", u_size), ("restarts", restarts)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1")
     if rd_grid is None:
         rd_grid = np.linspace(0.0, math.log(max(channel.n_states, 2)), 9)
     rd_grid = np.asarray(rd_grid, dtype=np.float64)

@@ -8,7 +8,8 @@ kinds:
   system        — "state_pmf", "channel" [s][x][y], optional "policy"
                   ({"u_given_s": rows, "g": [u][s]}), optional scalars
                   ("u_size", "gamma1", "gamma2", "rate", "rate_scale",
-                  "side_information": encoder|both|none)
+                  "side_information": encoder|both|none), and for
+                  region "v_size" and "rd_grid"
   mixture       — "channel_mixture": [{"weight", "channel"}],
                   "state_mixture": [{"weight", "state_pmf"}], optional
                   shared "policy"
@@ -52,6 +53,13 @@ def _normalize_rows(arr: np.ndarray, context: str) -> np.ndarray:
             f"off by more than {ROW_TOL:g}"
         )
     return arr / sums[..., None]
+
+
+def _alphabet_size(raw: dict, key: str) -> int:
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecError(f"{key}: alphabet size must be a positive integer, got {value!r}")
+    return value
 
 
 def parse_pmf(obj, context: str) -> Pmf:
@@ -102,9 +110,12 @@ def load_spec(path) -> dict:
         out["channel"] = parse_channel(_require(raw, "channel", "system"), "channel")
         if "policy" in raw:
             out["policy"] = parse_policy(raw["policy"], "policy")
-        for key in ("u_size", "gamma1", "gamma2", "rate", "rate_scale", "side_information", "v_size", "rd_grid"):
+        for key in ("gamma1", "gamma2", "rate", "rate_scale", "side_information", "rd_grid"):
             if key in raw:
                 out[key] = raw[key]
+        for key in ("u_size", "v_size"):
+            if key in raw:
+                out[key] = _alphabet_size(raw, key)
     elif kind == "mixture":
         chans = _require(raw, "channel_mixture", "mixture")
         states = _require(raw, "state_mixture", "mixture")
@@ -123,15 +134,16 @@ def load_spec(path) -> dict:
         if "policy" in raw:
             out["policy"] = parse_policy(raw["policy"], "policy")
         if "u_size" in raw:
-            out["u_size"] = raw["u_size"]
+            out["u_size"] = _alphabet_size(raw, "u_size")
     elif kind == "j-structured":
         chans = _require(raw, "channels", "j-structured")
         states = _require(raw, "states", "j-structured")
         out["channels"] = {k: parse_channel(v, f"channels.{k}") for k, v in chans.items()}
         out["states"] = {k: parse_pmf(v, f"states.{k}").probs for k, v in states.items()}
-        for key in ("n_max", "u_size"):
-            if key in raw:
-                out[key] = raw[key]
+        if "n_max" in raw:
+            out["n_max"] = raw["n_max"]
+        if "u_size" in raw:
+            out["u_size"] = _alphabet_size(raw, "u_size")
     else:
         raise SpecError(f"{path}: unknown kind {kind!r}")
     return out

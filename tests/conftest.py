@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,13 @@ def erasure_kernel(mi_nats: float) -> ChannelKernel:
     keep = mi_nats / math.log(2)
     w = np.array([[keep, 0.0, 1.0 - keep], [0.0, keep, 1.0 - keep]])
     return ChannelKernel(np.stack([w, w]))
+
+
+def full_product_maps(u_size: int, n_states: int, n_inputs: int) -> np.ndarray:
+    """Every deterministic map (u,s) -> x as (G, U, S), in product order:
+    the reference the relabelling-class enumeration is checked against."""
+    maps = list(itertools.product(range(n_inputs), repeat=u_size * n_states))
+    return np.array(maps, dtype=np.int64).reshape(-1, u_size, n_states)
 
 
 def identity_policy() -> GPPolicy:

@@ -4,8 +4,10 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 import pytest
 
+import gpchannel.capacity as capacity
 from gpchannel.capacity import (
     SequenceSpec,
+    _averaged_channel_candidate,
     blahut_arimoto,
     cesaro_capacity,
     dyadic_alternation_value,
@@ -15,12 +17,13 @@ from gpchannel.capacity import (
     j_density_extrema,
     no_state_capacity,
     odd_j_mask,
+    optimize_gp_policy,
     state_at_both_capacity,
 )
-from gpchannel.prob import ChannelKernel, Pmf
+from gpchannel.prob import ChannelKernel, Pmf, ValidationError
 from gpchannel.rng import stream
 
-from conftest import bin_capacity, bsc_matrix, state_blind_bsc, state_flip_bsc
+from conftest import bin_capacity, bsc_matrix, full_product_maps, state_blind_bsc, state_flip_bsc
 
 
 def sym_bsc_kernel(p0: float, p1: float) -> ChannelKernel:
@@ -94,6 +97,97 @@ class TestGPCapacity:
         big = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=12, restarts=2, iters=60, seed=0)
         assert big.diagnostics["heuristic_warning"]
         assert big.value == pytest.approx(bin_capacity(0.1), abs=1e-3)
+
+
+class TestMapClasses:
+    """The optimizer runs each distinct start of the full map product once,
+    moved onto its relabelling class's smallest map."""
+
+    @staticmethod
+    def _problems():
+        rng = stream(0, 23)
+        q = rng.dirichlet(np.ones(2))
+        system = ([q], [rng.dirichlet(np.ones(2), size=(2, 2))])
+        mixture = ([q], [rng.dirichlet(np.ones(2), size=(2, 2)) for _ in range(2)])
+        return [system, mixture]
+
+    @staticmethod
+    def _solve_both_ways(which, restarts, monkeypatch):
+        """(class search, full product search) results on one problem."""
+        states, channels = TestMapClasses._problems()[which]
+        u_size = 4
+        cand = (_averaged_channel_candidate(states, channels, u_size, 2),)
+
+        def solve():
+            return optimize_gp_policy(states, channels, u_size, restarts=restarts, seed=5, candidates=cand)
+
+        classes = solve()
+        monkeypatch.setattr(capacity, "_onto_relabelling_classes", lambda g, v, n_inputs: (g, v))
+        return classes, solve()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["system", "mixture"])
+    def test_one_start_matches_full_product_search(self, which, monkeypatch):
+        # a uniform start is relabelling-invariant, so every relabelled map
+        # retraces its class's path and the class search loses nothing
+        classes, full = self._solve_both_ways(which, 1, monkeypatch)
+        assert classes[3]["batch"] == math.comb(4 + 4 - 1, 4) + 1 < full[3]["batch"]
+        assert classes[0] == pytest.approx(full[0], abs=1e-12)
+        np.testing.assert_array_equal(classes[2], full[2])
+        np.testing.assert_allclose(classes[1], full[1], atol=1e-9)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["system", "mixture"])
+    def test_several_starts_keep_full_product_value(self, which, monkeypatch):
+        classes, full = self._solve_both_ways(which, 4, monkeypatch)
+        # every random start is kept, only repeated structured ones go
+        assert 2 * 2**8 < classes[3]["batch"] < full[3]["batch"]
+        assert classes[0] >= full[0] - 1e-6
+
+    def test_top_two_gap_is_to_best_other_policy(self, monkeypatch):
+        # per-map reference: each of the 64 maps solved alone; a policy is
+        # the set of used rows, each cut to the states that pick it
+        states, channels = self._problems()[0]
+        value, _, _, diag = optimize_gp_policy(states, channels, 3, restarts=1)
+        per_policy, classes_of = {}, {}
+        for g in full_product_maps(3, 2, 2):
+            monkeypatch.setattr(capacity, "_enumerate_g", lambda *_, g=g: g[None])
+            one, v, g_win, _ = optimize_gp_policy(states, channels, 3, restarts=1)
+            policy = frozenset(
+                tuple(int(g_win[u, s]) if v[s, u] > 1e-6 else None for s in range(2))
+                for u in range(3) if (v[:, u] > 1e-6).any()
+            )
+            per_policy[policy] = max(per_policy.get(policy, -np.inf), one)
+            classes_of.setdefault(policy, set()).add(tuple(sorted(map(tuple, g.tolist()))))
+        # some classes differ only in how often a row repeats and share a policy
+        assert any(len(c) > 1 for c in classes_of.values())
+        best, runner_up = sorted(per_policy.values(), reverse=True)[:2]
+        assert value == pytest.approx(best, abs=1e-12)
+        assert best - runner_up > 1e-6
+        assert diag["top_two_gap"] == pytest.approx(best - runner_up, abs=1e-12)
+
+    def test_top_two_gap_ignores_repeats_and_unpicked_inputs(self):
+        # rows s -> x over two states; row (0, 0) and row (0, 1) are picked
+        # only in state 0 by the first three rows, which share one policy
+        g = np.array([
+            [[0, 0], [0, 0], [1, 1]],  # rows A, A, B
+            [[0, 0], [1, 1], [1, 1]],  # rows A, B, B: a row repeats differently
+            [[0, 1], [1, 1], [0, 0]],  # row (0, 1) in place of A: differs where unpicked
+            [[0, 1], [1, 1], [0, 0]],  # state 1 picks row (0, 1): a different policy
+        ])
+        v = np.array([
+            [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
+            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
+            [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]],
+        ])
+        obj = np.array([0.5, 0.4, 0.45, 0.2])
+        assert capacity._top_two_gap(obj, v, g, 0) == pytest.approx(0.3)
+        assert capacity._top_two_gap(obj[:3], v[:3], g[:3], 0) == 0.0
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_restarts_below_one(self, restarts):
+        states, channels = self._problems()[0]
+        with pytest.raises(ValidationError, match="restarts"):
+            optimize_gp_policy(states, channels, 2, restarts=restarts)
 
 
 class TestGridOracle:

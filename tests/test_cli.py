@@ -96,7 +96,6 @@ class TestCapacityCommand:
         # the worst component dominates the exact mixed objective
         assert 0.0 < value <= bin_capacity(0.25) + 1e-9
 
-    @pytest.mark.slow
     def test_j_structured_outputs(self, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -172,6 +171,14 @@ class TestCapacityCommand:
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
         assert "u_size" in res.output
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_rejected(self, tmp_path, restarts):
+        spec = write_spec(tmp_path, system_spec())
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", restarts])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "--restarts" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_version_matches_project_metadata(self):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
@@ -255,7 +262,6 @@ class TestSimulateCommand:
 
 
 class TestRegionCommand:
-    @pytest.mark.slow
     def test_round_trip(self, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -283,3 +289,38 @@ class TestRegionCommand:
         spec = write_spec(tmp_path, system_spec(rd_grid=[-1.0, 0.0]))
         res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("option", ["--restarts", "--v-size", "--u-size"])
+    def test_option_below_one_rejected(self, tmp_path, option):
+        spec = write_spec(tmp_path, system_spec(rd_grid=[0.0]))
+        res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o"), option, "0"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert option in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [0, 2.5])
+    @pytest.mark.parametrize("key", ["v_size", "u_size"])
+    def test_spec_size_not_positive_integer_rejected(self, tmp_path, key, value):
+        spec = write_spec(tmp_path, system_spec(rd_grid=[0.0], **{key: value}))
+        res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert key in res.output
+
+    def test_spec_sizes_used_unless_options_given(self, tmp_path, monkeypatch):
+        import gpchannel.cli as cli
+
+        sizes = []
+        frontier = cli.region_frontier
+
+        def recording(*args, **kwargs):
+            sizes.append((kwargs["v_size"], kwargs["u_size"]))
+            return frontier(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "region_frontier", recording)
+        spec = write_spec(tmp_path, system_spec(rd_grid=[0.0], v_size=2, u_size=2))
+        out = tmp_path / "out"
+        res = run(["region", "--spec", str(spec), "--out", str(out), "--restarts", "1"])
+        assert res.exit_code == 0
+        res = run(["region", "--spec", str(spec), "--out", str(out), "--restarts", "1", "--u-size", "3"])
+        assert res.exit_code == 0
+        assert sizes == [(2, 2), (2, 3)]

@@ -1,6 +1,7 @@
 """Property tests for the primitives every estimator shares: the
 counts-times-log-table block score, the explicit decoder's type-count
-scores built on it, and the inverse-CDF sampler."""
+scores built on it, the inverse-CDF sampler, and the GP optimizer's
+enumeration of input maps up to relabelling."""
 
 import math
 from unittest import mock
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpchannel import kernels
+from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
 from gpchannel.coding import sample
 from gpchannel.info import counts_scores
+
+from conftest import full_product_maps
 
 _log_entries = st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf))
 
@@ -114,3 +118,46 @@ def test_row_sample_in_support(rows, data):
     assert out.shape == (rows.shape[0],)
     assert ((out >= 0) & (out < rows.shape[1])).all()
     assert (rows[np.arange(rows.shape[0]), out] > 0).all()
+
+
+@st.composite
+def map_alphabets(draw):
+    """(|U|, |S|, |X|) whose full product of maps stays small."""
+    n_inputs, n_states = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    u_max = max(u for u in range(1, 5) if n_inputs ** (u * n_states) <= 4096)
+    return draw(st.integers(1, u_max)), n_states, n_inputs
+
+
+@settings(deadline=None)
+@given(map_alphabets())
+def test_uniform_starts_leave_one_map_per_relabelling_class(sizes):
+    u_size, n_states, n_inputs = sizes
+    product_maps = full_product_maps(u_size, n_states, n_inputs)
+    np.testing.assert_array_equal(_enumerate_g(u_size, n_states, n_inputs), product_maps)
+    uniform = np.full((len(product_maps), n_states, u_size), 1.0 / u_size)
+    maps, v = _onto_relabelling_classes(product_maps, uniform, n_inputs)
+    n_rows = n_inputs**n_states
+    assert maps.shape == (math.comb(n_rows + u_size - 1, u_size), u_size, n_states)
+    assert (v == 1.0 / u_size).all()
+    place = n_inputs ** np.arange(n_states - 1, -1, -1)
+    codes = [tuple(int(r) for r in m @ place) for m in maps]
+    # rows sorted within each map, maps in the full product's order
+    assert all(list(c) == sorted(c) for c in codes)
+    assert codes == sorted(set(codes))
+    listed = set(codes)
+    for m in product_maps:
+        assert tuple(sorted(int(r) for r in m @ place)) in listed
+
+
+@settings(deadline=None)
+@given(map_alphabets(), st.integers(0, 2**32 - 1))
+def test_random_starts_are_kept_and_only_relabelled(sizes, seed):
+    u_size, n_states, n_inputs = sizes
+    product_maps = full_product_maps(u_size, n_states, n_inputs)
+    starts = np.random.default_rng(seed).dirichlet(np.ones(u_size), size=(len(product_maps), n_states))
+    maps, v = _onto_relabelling_classes(product_maps, starts, n_inputs)
+    assert maps.shape == product_maps.shape
+    for g_in, v_in, g_out, v_out in zip(product_maps, starts, maps, v):
+        # the same (row, column of v) pairs, stably sorted by row
+        pairs_in = sorted(zip(map(tuple, g_in.tolist()), map(tuple, v_in.T.tolist())), key=lambda p: p[0])
+        assert list(zip(map(tuple, g_out.tolist()), map(tuple, v_out.T.tolist()))) == pairs_in

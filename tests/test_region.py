@@ -73,6 +73,11 @@ class TestFrontier:
         with pytest.raises(ValidationError):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[-0.1, 0.0])
 
+    @pytest.mark.parametrize("key", ["v_size", "u_size", "restarts"])
+    def test_size_or_restarts_below_one_rejected(self, uniform_state, key):
+        with pytest.raises(ValidationError, match=key):
+            region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0], **{key: 0})
+
     @pytest.mark.slow
     def test_endpoints_state_flip(self, uniform_state):
         channel = state_flip_bsc(0.1)
