@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info import mutual_information, conditional_mutual_information
-from .prob import (
-    ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, compose_joint, marginal,
-)
+from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError
 from .rng import stream
 
 _LOG_FLOOR = 1e-26
 _EXHAUSTIVE_G_CAP = 10**6
+_HEURISTIC_MAPS = 256
+_STEP0 = 0.5
 _USED_MASS = 1e-6
 
 
@@ -251,8 +251,6 @@ def optimize_gp_policy(
     iters: int = 200,
     seed: int = 0,
     candidates: tuple = (),
-    g_cap: int = _EXHAUSTIVE_G_CAP,
-    step0: float = 0.5,
 ):
     """Multi-start ascent of min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l).
 
@@ -265,14 +263,13 @@ def optimize_gp_policy(
     n_states = states[0].size
     n_inputs = channels[0].shape[1]
     g_count = n_inputs ** (u_size * n_states)
-    exhaustive = g_count <= g_cap and max(n_states, n_inputs, channels[0].shape[2]) <= 4
+    exhaustive = g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
     rng = stream(seed, 0xC0DE)
     if exhaustive:
         g_tables = _enumerate_g(u_size, n_states, n_inputs)
     else:
         # heuristic mode: seeded random subset of maps plus identity-like maps
-        n_g = min(256, g_cap)
-        g_tables = rng.integers(0, n_inputs, size=(n_g, u_size, n_states))
+        g_tables = rng.integers(0, n_inputs, size=(_HEURISTIC_MAPS, u_size, n_states))
         g_tables[0] = np.arange(u_size)[:, None] % n_inputs
 
     g_rep = np.repeat(g_tables, restarts, axis=0)
@@ -303,7 +300,7 @@ def optimize_gp_policy(
 
     wg_per_k = [_effective_kernels(np.asarray(w), g_rep) for w in channels]
     v = v0
-    step = np.full(b, step0)
+    step = np.full(b, _STEP0)
     terms = _objective_terms(v, states, wg_per_k)
     for _ in range(iters):
         grad = _gradient(states, wg_per_k, *terms[1:])

@@ -95,7 +95,20 @@ def _policy_lines(policy) -> list[str]:
     return lines
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps an unexpected exception in a subcommand to EXIT_INTERNAL."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # a broken invariant: one line on stderr, not a traceback
+            click.echo(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", err=True)
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 def main():
     """Capacity solvers and random-coding simulators for state-dependent channels."""
 
@@ -282,7 +295,7 @@ def _bern_sigma(p: float, n: int) -> float:
 @click.option("--v-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's v_size, then the cardinality bound.")
 @click.option("--u-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's u_size, then the cardinality bound.")
 @click.option("--restarts", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--grid-points", default=9, show_default=True, type=int)
+@click.option("--grid-points", default=9, show_default=True, type=click.IntRange(min=1))
 def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_points):
     """(R, R_d) frontier for a rate-limited state description at the decoder."""
     spec = _load(spec_path)

@@ -10,15 +10,19 @@ T1-typical codeword. The per-block error is bounded by
 
 which the simulator reports next to the measured error.
 
-Two execution modes share one trial semantics:
+Both execution modes run one per-trial path: state draw, covering scan,
+transmission (Y^n drawn from P(y|u,s) = W(y|g(u,s),s)) and the E2 test.
+They differ only in where the scan's candidates come from and how
+confusion is decided:
 
-* explicit — the codebook is materialized and scanned, feasible only at
+* explicit — the codebook is materialized, the scan reads the message's
+  bin, and the received blocks are decoded in batches; feasible only at
   desk scale (codewords capped at 2^22, decode work at 2^30).
 * implicit — codeword counts at the analysis rates are astronomically
   large, so the simulator exploits exchangeability of the i.i.d.
-  codebook: covering is a lazy scan over freshly drawn candidates, and
-  the confusion event is a Bernoulli draw from 1-(1-q(Y))^K with q(Y)
-  estimated by importance sampling under the tilted law P_{U|Y}.
+  codebook: the scan reads freshly drawn candidates, and the confusion
+  event is a Bernoulli draw from 1-(1-q(Y))^K with q(Y) estimated by
+  importance sampling under the tilted law P_{U|Y}.
 
 Both modes log per-trial event flags (covering failure E1, decoding
 atypicality E2, confusion E3) so the error decomposition is auditable.
@@ -44,6 +48,9 @@ WORK_CAP = 2**30
 _DRAW_CELLS = 2**18
 _DECODE_SCORES = 2**21
 _MESSAGE_LABEL_CAP = 2**62
+# implicit covering scans stop after this many fresh candidates and
+# extrapolate the failure mass of the rest of the bin
+SCAN_CAP = 256
 
 
 class BudgetError(RuntimeError):
@@ -213,6 +220,16 @@ def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(idx, last, out=idx)
 
 
+def _block_densities(counts, laws, log_rows, draws: int, rng) -> np.ndarray:
+    """Monte-Carlo block densities: class i holds counts[i] i.i.d. cells
+    with law laws[i] and log row log_rows[i]. Each of the `draws` rows
+    sums every non-empty class's counts_scores, classes drawn in order."""
+    sums = np.zeros(draws)
+    for i in np.flatnonzero(counts):
+        sums += counts_scores(rng.multinomial(int(counts[i]), laws[i], size=draws), log_rows[i])
+    return sums
+
+
 def estimate_pi(
     system: MemorylessSystem,
     n: int,
@@ -227,9 +244,9 @@ def estimate_pi(
     """
     if draws < 1:
         raise ValidationError("zero draws")
-    # block densities of n i.i.d. cells: cell counts times the log table
-    s1 = counts_scores(stream(seed, 0x9101).multinomial(n, system.p_uy.ravel(), size=draws), system.d_uy)
-    s2 = counts_scores(stream(seed, 0x9102).multinomial(n, system.p_us.ravel(), size=draws), system.d_us)
+    # one class of n i.i.d. cells over the whole joint table
+    s1 = _block_densities([n], [system.p_uy.ravel()], [system.d_uy], draws, stream(seed, 0x9101))
+    s2 = _block_densities([n], [system.p_us.ravel()], [system.d_us], draws, stream(seed, 0x9102))
     k1 = int((s1 < n * thresholds.t1).sum())
     k2 = int((s2 > n * thresholds.t2).sum())
     return {
@@ -253,19 +270,14 @@ def eta(
 
     Outputs are conditionally i.i.d. given the (u,s) symbol at each
     position, so only the (u,s) class counts matter; each class draws a
-    multinomial over output symbols and dots with the density row.
+    multinomial over output symbols and dots with the density row d_uy[u].
     Returns (estimate, standard error).
     """
-    n = u_block.size
-    pairs = u_block.astype(np.int64) * system.p_us.shape[1] + s_block.astype(np.int64)
-    counts = np.bincount(pairs, minlength=system.p_us.size)
-    sums = np.zeros(inner_draws)
-    for pair in np.flatnonzero(counts):
-        u, s = divmod(pair, system.p_us.shape[1])
-        c = rng.multinomial(int(counts[pair]), system.p_y_given_us[u, s], size=inner_draws)
-        sums += counts_scores(c, system.d_uy[u])
-    k = int((sums < n * thresholds.t1).sum())
-    est = k / inner_draws
+    n_s = system.p_us.shape[1]
+    counts = np.bincount(u_block.astype(np.int64) * n_s + s_block, minlength=system.p_us.size)
+    laws = system.p_y_given_us.reshape(counts.size, -1)
+    sums = _block_densities(counts, laws, np.repeat(system.d_uy, n_s, axis=0), inner_draws, rng)
+    est = int((sums < u_block.size * thresholds.t1).sum()) / inner_draws
     return est, math.sqrt(max(est * (1 - est), 1e-12) / inner_draws)
 
 
@@ -345,13 +357,24 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
 class EncodeResult:
     l_index: int
     u_block: np.ndarray
-    x_block: np.ndarray
     covering_failed: bool
 
 
-def _draw_inputs(system: MemorylessSystem, u_block: np.ndarray, s_block: np.ndarray, rng) -> np.ndarray:
-    pxus = system.policy.x_given_us(system.channel.n_inputs)
-    return sample(pxus[u_block, s_block], rng.random(u_block.size))
+def _covering_scan(candidates, s_block, system, thresholds, covering_threshold, inner_draws, rng):
+    """First-index covering scan over an iterable of codeword blocks.
+
+    Returns (position, codeword, failed): the first candidate whose
+    estimated eta is at most the covering threshold, or, when none
+    qualifies, position 0 and the first candidate with failed set.
+    """
+    first = None
+    for position, u_block in enumerate(candidates):
+        est, _ = eta(u_block, s_block, system, thresholds, inner_draws, rng)
+        if est <= covering_threshold:
+            return position, u_block, False
+        if position == 0:
+            first = u_block
+    return 0, first, True
 
 
 def encode(
@@ -371,18 +394,10 @@ def encode(
     first codeword is transmitted anyway and the failure flagged.
     """
     lo, hi = codebook.bin_range(message)
-    chosen = None
-    for l_index in range(lo, hi):
-        est, _ = eta(codebook.words[l_index], s_block, system, thresholds, inner_draws, rng)
-        if est <= covering_threshold:
-            chosen = l_index
-            break
-    failed = chosen is None
-    if failed:
-        chosen = lo
-    u_block = codebook.words[chosen]
-    x_block = _draw_inputs(system, u_block, s_block, rng)
-    return EncodeResult(l_index=chosen, u_block=u_block, x_block=x_block, covering_failed=failed)
+    position, u_block, failed = _covering_scan(
+        codebook.words[lo:hi], s_block, system, thresholds, covering_threshold, inner_draws, rng
+    )
+    return EncodeResult(l_index=lo + position, u_block=u_block, covering_failed=failed)
 
 
 def decode(
@@ -470,11 +485,6 @@ def rho_bound(pi1: float, pi2: float, n: int, gamma1: float, gamma2: float) -> d
     return terms
 
 
-def _transmit(system: MemorylessSystem, u_block: np.ndarray, s_block: np.ndarray, rng) -> np.ndarray:
-    """Y^n given the codeword and state blocks (input drawn internally)."""
-    return sample(system.p_y_given_us[u_block, s_block], rng.random(u_block.size))
-
-
 def _confusion_probability(
     system: MemorylessSystem,
     y_block: np.ndarray,
@@ -496,10 +506,8 @@ def _confusion_probability(
     """
     n = y_block.size
     y_counts = np.bincount(y_block, minlength=system.p_y.size)
-    d = np.zeros(inner_draws)
-    for y in np.flatnonzero(y_counts):
-        c = rng.multinomial(int(y_counts[y]), system.p_u_given_y[:, y], size=inner_draws)
-        d += counts_scores(c, system.d_uy[:, y])
+    # one class per output symbol y: its codeword cells draw from P(u|y)
+    d = _block_densities(y_counts, system.p_u_given_y.T, system.d_uy.T, inner_draws, rng)
     neg = -d[d >= n * thresholds.t1]
     if neg.size == 0:
         return 0.0
@@ -509,22 +517,56 @@ def _confusion_probability(
     return -math.expm1(-exponent)
 
 
-def _run_explicit(system, experiment, thresholds, pi, inner_draws):
-    """Encode and transmit every trial, then decode the received blocks
-    in batches of trials, each batch one pass over the codebook."""
-    codebook = build_code(experiment, system.p_u)
-    covering_threshold = math.sqrt(pi["pi1"])
+def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
+    """The per-trial path of both modes: yields (trial, message, L, e1,
+    e2, y_block, rng), rng being the trial's own stream.
+
+    A trial draws the message (explicit mode only), the state block, the
+    covering scan and Y^n ~ P(y|u,s). With a codebook the scan reads the
+    message's bin. Without one the bin's entries are i.i.d. p_U^n, so the
+    scan draws fresh candidates, at most SCAN_CAP; a failed scan of a
+    larger bin extrapolates the failure mass of the unscanned entries.
+    """
     n = experiment.n
-    sent = []  # (message, L, e1, e2) per trial
-    y_blocks = np.empty((experiment.trials, n), dtype=np.intp)
+    covering_threshold = math.sqrt(pi["pi1"])
+    log_sub = n * (experiment.rate_total - experiment.rate)
+    scan_limit = int(min(math.exp(min(log_sub, 20)), SCAN_CAP))
     for t in range(experiment.trials):
-        rng = stream(experiment.seed, 0x7121, t)
-        message = int(rng.integers(codebook.message_count))
+        if codebook is None:
+            rng = stream(experiment.seed, 0x7122, t)
+            message = t % min(experiment.message_count, _MESSAGE_LABEL_CAP)
+        else:
+            rng = stream(experiment.seed, 0x7121, t)
+            message = int(rng.integers(codebook.message_count))
         s_block = sample(system.state.probs, rng.random(n))
-        enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
-        y_blocks[t] = sample(system.channel.w[s_block, enc.x_block], rng.random(n))
-        e2 = _atypical(system, enc.u_block, y_blocks[t], thresholds.t1)
-        sent.append((message, enc.l_index, enc.covering_failed, e2))
+        if codebook is None:
+            candidates = (sample(system.p_u, rng.random(n)) for _ in range(scan_limit))
+            l_index, u_block, e1 = _covering_scan(
+                candidates, s_block, system, thresholds, covering_threshold, inner_draws, rng
+            )
+            if e1 and log_sub > math.log(scan_limit) + 1e-12:
+                # every unscanned bin entry fails independently with the
+                # (smoothed) observed failure rate
+                p_fail = (scan_limit + 1) / (scan_limit + 2)
+                log_p_all_fail = math.exp(min(log_sub, 700.0)) * math.log(p_fail)
+                e1 = bool(rng.random() < math.exp(max(log_p_all_fail, -700.0)))
+        else:
+            enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
+            l_index, u_block, e1 = enc.l_index, enc.u_block, enc.covering_failed
+        y_block = sample(system.p_y_given_us[u_block, s_block], rng.random(n))
+        yield t, message, l_index, e1, _atypical(system, u_block, y_block, thresholds.t1), y_block, rng
+
+
+def _run_explicit(system, experiment, thresholds, pi, inner_draws) -> list[TrialRecord]:
+    """Run every trial against the materialized codebook, then decode
+    the received blocks in batches of trials, each batch one pass over
+    the codebook."""
+    codebook = build_code(experiment, system.p_u)
+    sent = []  # (message, L, e1, e2) per trial
+    y_blocks = np.empty((experiment.trials, experiment.n), dtype=np.intp)
+    for t, message, l_index, e1, e2, y_block, _ in _trials(system, experiment, thresholds, pi, inner_draws, codebook):
+        sent.append((message, l_index, e1, e2))
+        y_blocks[t] = y_block
     batch = max(1, _DECODE_SCORES // codebook.words.shape[0])
     decoded_hits = []
     for lo in range(0, experiment.trials, batch):
@@ -532,83 +574,28 @@ def _run_explicit(system, experiment, thresholds, pi, inner_draws):
     records = []
     for t, ((message, l_index, e1, e2), (decoded, hits)) in enumerate(zip(sent, decoded_hits)):
         lo, hi = codebook.bin_range(message)
-        records.append(
-            TrialRecord(
-                trial=t,
-                message=message,
-                l_index=l_index,
-                e1=e1,
-                e2=e2,
-                # confusion: some other bin held a typical codeword
-                e3=bool(((hits < lo) | (hits >= hi)).any()),
-                decoded=-1 if decoded is None else decoded,
-                ok=decoded == message,
-            )
-        )
-    return records, "explicit"
+        e3 = bool(((hits < lo) | (hits >= hi)).any())  # some other bin held a typical codeword
+        decoded = -1 if decoded is None else decoded
+        records.append(TrialRecord(t, message, l_index, e1, e2, e3, decoded, decoded == message))
+    return records
 
 
-def _run_implicit(system, experiment, thresholds, pi, inner_draws, scan_cap=256):
+def _run_implicit(system, experiment, thresholds, pi, inner_draws) -> list[TrialRecord]:
     """Exchangeable-trial simulation without materializing the codebook.
 
-    The scanned bin entries are i.i.d. from p_U^n, so the covering scan
-    draws fresh candidates until one passes; when the bin is larger than
-    the scan cap, the remaining failure mass is extrapolated from the
-    observed pass rate. Confusion is decided by a Bernoulli draw from
-    the importance-sampled typicality probability of the out-of-bin
-    codeword population. A trial counts as correct only when no event
-    fires, which upper-bounds the explicit decoder's error.
+    Confusion is decided by a Bernoulli draw from the importance-sampled
+    typicality probability of the out-of-bin codeword population. A
+    trial counts as correct only when no event fires, which
+    upper-bounds the explicit decoder's error.
     """
     records = []
-    n = experiment.n
-    covering_threshold = math.sqrt(pi["pi1"])
-    log_sub = n * (experiment.rate_total - experiment.rate)
-    for t in range(experiment.trials):
-        rng = stream(experiment.seed, 0x7122, t)
-        message = t % min(experiment.message_count, _MESSAGE_LABEL_CAP)
-        s_block = sample(system.state.probs, rng.random(n))
-        scan_limit = int(min(math.exp(min(log_sub, 20)), scan_cap))
-        chosen = None
-        fails = 0
-        for attempt in range(scan_limit):
-            u_block = sample(system.p_u, rng.random(n))
-            est, _ = eta(u_block, s_block, system, thresholds, inner_draws, rng)
-            if est <= covering_threshold:
-                chosen = attempt
-                break
-            fails += 1
-        if chosen is None:
-            if log_sub <= math.log(scan_limit) + 1e-12:
-                # the whole bin was scanned and nothing qualified
-                e1 = True
-            else:
-                # extrapolate: every unscanned bin entry fails independently
-                # with the (smoothed) observed failure rate
-                p_fail = (fails + 1) / (scan_limit + 2)
-                log_p_all_fail = math.exp(min(log_sub, 700.0)) * math.log(p_fail)
-                e1 = bool(rng.random() < math.exp(max(log_p_all_fail, -700.0)))
-            chosen = 0
-        else:
-            e1 = False
-        y_block = _transmit(system, u_block, s_block, rng)
-        e2 = _atypical(system, u_block, y_block, thresholds.t1)
-        log_k_out = experiment.log_total_codewords  # out-of-bin population
+    log_k_out = experiment.log_total_codewords  # out-of-bin population
+    for t, message, l_index, e1, e2, y_block, rng in _trials(system, experiment, thresholds, pi, inner_draws):
         p_e3 = _confusion_probability(system, y_block, thresholds, log_k_out, inner_draws, rng)
         e3 = bool(rng.random() < p_e3)
         ok = not (e1 or e2 or e3)
-        records.append(
-            TrialRecord(
-                trial=t,
-                message=message,
-                l_index=chosen,
-                e1=e1,
-                e2=e2,
-                e3=e3,
-                decoded=message if ok else -1,
-                ok=ok,
-            )
-        )
-    return records, "implicit"
+        records.append(TrialRecord(t, message, l_index, e1, e2, e3, message if ok else -1, ok))
+    return records
 
 
 def run_experiment(
@@ -634,9 +621,9 @@ def run_experiment(
             f"{CODEWORD_CAP} / {WORK_CAP} — reduce n or rates, or use implicit mode"
         )
     if mode == "explicit":
-        records, mode_used = _run_explicit(system, experiment, thresholds, pi, inner_draws)
+        records = _run_explicit(system, experiment, thresholds, pi, inner_draws)
     elif mode == "implicit":
-        records, mode_used = _run_implicit(system, experiment, thresholds, pi, inner_draws)
+        records = _run_implicit(system, experiment, thresholds, pi, inner_draws)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     errors = sum(not r.ok for r in records)
@@ -650,7 +637,7 @@ def run_experiment(
         rho_terms=terms,
         pi1=pi["pi1"],
         pi2=pi["pi2"],
-        mode=mode_used,
+        mode=mode,
         converse_mode=converse,
         diagnostics={"pi": pi, "thresholds": (thresholds.t1, thresholds.t2)},
     )

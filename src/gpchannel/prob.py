@@ -122,10 +122,10 @@ class ChannelKernel:
 
 @dataclass(frozen=True)
 class GPPolicy:
-    """Auxiliary-symbol policy: P(u|s) plus a map from (u,s) to channel inputs.
+    """Auxiliary-symbol policy: P(u|s) plus a deterministic input map.
 
-    x_map is either a deterministic integer table of shape (|U|,|S|) or a
-    stochastic array of shape (|U|,|S|,|X|) whose (u,s) rows are Pmfs.
+    x_map is an integer table of shape (|U|,|S|): the channel input sent
+    for auxiliary symbol u in state s is x_map[u, s].
     """
 
     u_given_s: ConditionalPmf
@@ -133,22 +133,15 @@ class GPPolicy:
 
     def __post_init__(self):
         xm = np.asarray(self.x_map)
-        if xm.ndim == 2:
-            if not np.issubdtype(xm.dtype, np.integer):
-                xm = xm.astype(np.int64)
-                if not np.array_equal(xm, np.asarray(self.x_map)):
-                    raise ValidationError("deterministic x_map must be integral")
-            if np.any(xm < 0):
-                raise ValidationError("x_map entries must be non-negative input indices")
-            xm = np.ascontiguousarray(xm, dtype=np.int64)
-        elif xm.ndim == 3:
-            xm = np.asarray(xm, dtype=np.float64)
-            for u in range(xm.shape[0]):
-                for s in range(xm.shape[1]):
-                    _check_pmf(xm[u, s], f"x_map row (u={u}, s={s})")
-            xm = np.ascontiguousarray(xm)
-        else:
-            raise ValidationError("x_map must be (|U|,|S|) ints or (|U|,|S|,|X|) probs")
+        if xm.ndim != 2:
+            raise ValidationError("x_map must be an (|U|,|S|) table of input indices")
+        if not np.issubdtype(xm.dtype, np.integer):
+            xm = xm.astype(np.int64)
+            if not np.array_equal(xm, np.asarray(self.x_map)):
+                raise ValidationError("x_map must be integral")
+        if np.any(xm < 0):
+            raise ValidationError("x_map entries must be non-negative input indices")
+        xm = np.ascontiguousarray(xm, dtype=np.int64)
         if xm.shape[1] != self.u_given_s.n_conditions:
             raise DimensionError("x_map state axis disagrees with u_given_s")
         if xm.shape[0] != self.u_given_s.n_outputs:
@@ -164,17 +157,10 @@ class GPPolicy:
     def n_aux(self) -> int:
         return self.u_given_s.n_outputs
 
-    def deterministic(self) -> bool:
-        return self.x_map.ndim == 2
-
     def x_given_us(self, n_inputs: int) -> np.ndarray:
-        """The (|U|,|S|,|X|) stochastic form of the input map."""
-        if self.x_map.ndim == 3:
-            if self.x_map.shape[2] != n_inputs:
-                raise DimensionError("x_map output axis disagrees with channel inputs")
-            return np.asarray(self.x_map)
+        """The (|U|,|S|,|X|) one-hot form of the input map."""
         if int(self.x_map.max(initial=0)) >= n_inputs:
-            raise ValidationError("deterministic x_map refers to an input outside the channel alphabet")
+            raise ValidationError("x_map refers to an input outside the channel alphabet")
         out = np.zeros((self.n_aux, self.n_states, n_inputs))
         nu, ns = self.x_map.shape
         out[np.arange(nu)[:, None], np.arange(ns)[None, :], self.x_map] = 1.0

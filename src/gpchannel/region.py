@@ -52,29 +52,27 @@ class RegionPoint:
     diagnostics: dict
 
 
-def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> dict:
-    """Exact single-letter quantities for one policy."""
-    q = state.probs
-    pv = np.asarray(policy.v_given_s, dtype=np.float64)
-    pu = np.asarray(policy.u_given_vs, dtype=np.float64)
-    g = np.asarray(policy.x_map, dtype=np.int64)
-    n_u, n_v, n_s = g.shape
-    s_idx = np.arange(n_s)
-    # W_g[v,s,u,y] = W(y | g[u,v,s], s)
-    wg = channel.w[s_idx[None, :, None], g.transpose(1, 2, 0), :]
+def _kernel_rates(pv, pu, wg, q) -> tuple[float, float]:
+    """(message rate, description rate) of the laws P(v|s) = pv[s,v] and
+    P(u|v,s) = pu[v,s,u] on the effective kernel W_g(y|u,v,s) = wg[v,s,u,y]."""
     p_svuy = np.einsum("s,sv,vsu,vsuy->svuy", q, pv, pu, wg)
-    p_sv = p_svuy.sum(axis=(2, 3))
-    p_vy = p_svuy.sum(axis=(0, 2))
-    i_vs = mutual_information(p_sv)
-    i_vy = mutual_information(p_vy)
+    i_vs = mutual_information(p_svuy.sum(axis=(2, 3)))
+    i_vy = mutual_information(p_svuy.sum(axis=(0, 2)))
     i_uy_v = conditional_mutual_information(p_svuy.sum(axis=0).transpose(1, 2, 0))
     i_us_v = conditional_mutual_information(p_svuy.sum(axis=3).transpose(2, 0, 1))
-    return {
-        "i_vs": i_vs,
-        "i_vy": i_vy,
-        "message_rate": i_uy_v - i_us_v,
-        "description_rate": i_vs - i_vy,
-    }
+    return i_uy_v - i_us_v, i_vs - i_vy
+
+
+def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> dict:
+    """Exact single-letter rates for one policy."""
+    g = np.asarray(policy.x_map, dtype=np.int64)
+    # W_g[v,s,u,y] = W(y | g[u,v,s], s)
+    wg = channel.w[np.arange(g.shape[2])[None, :, None], g.transpose(1, 2, 0), :]
+    rate, cost = _kernel_rates(
+        np.asarray(policy.v_given_s, dtype=np.float64), np.asarray(policy.u_given_vs, dtype=np.float64),
+        wg, state.probs,
+    )
+    return {"message_rate": rate, "description_rate": cost}
 
 
 def region_membership(point: RegionPoint, channel: ChannelKernel, state: Pmf) -> bool:
@@ -90,9 +88,12 @@ def region_membership(point: RegionPoint, channel: ChannelKernel, state: Pmf) ->
 # candidate policies anchoring the endpoints
 
 
-def _degenerate_v_candidate(channel: ChannelKernel, state: Pmf, v_size: int, u_size: int, seed: int) -> RegionPolicy:
+def _degenerate_v_candidate(
+    channel: ChannelKernel, state: Pmf, v_size: int, u_size: int, restarts: int, seed: int
+) -> RegionPolicy:
     """V carries nothing; the encoder-only optimum is feasible at R_d = 0."""
-    gp = gp_capacity_dm(channel, state, u_size=min(u_size, channel.n_inputs * channel.n_states + 1), seed=seed)
+    u_inner = min(u_size, channel.n_inputs * channel.n_states + 1)
+    gp = gp_capacity_dm(channel, state, u_size=u_inner, restarts=restarts, seed=seed)
     n_s = channel.n_states
     v_rows = np.zeros((n_s, v_size))
     v_rows[:, 0] = 1.0
@@ -135,17 +136,6 @@ def _unpack(theta, n_s, v_size, u_size, n_x):
     return pv, pu, px
 
 
-def _soft_rates(pv, pu, px, w, q):
-    """Rates with a relaxed stochastic x-map (used inside the optimizer)."""
-    wg = np.einsum("uvsx,sxy->vsuy", px, w)
-    p_svuy = np.einsum("s,sv,vsu,vsuy->svuy", q, pv, pu, wg)
-    i_vs = mutual_information(p_svuy.sum(axis=(2, 3)))
-    i_vy = mutual_information(p_svuy.sum(axis=(0, 2)))
-    i_uy_v = conditional_mutual_information(p_svuy.sum(axis=0).transpose(1, 2, 0))
-    i_us_v = conditional_mutual_information(p_svuy.sum(axis=3).transpose(2, 0, 1))
-    return i_uy_v - i_us_v, i_vs - i_vy
-
-
 def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
     n_s, n_x = channel.n_states, channel.n_inputs
     dim = n_s * v_size + v_size * n_s * u_size + u_size * v_size * n_s * n_x
@@ -157,7 +147,8 @@ def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
         for mu in (2.0, 20.0, 200.0):
             def neg(th, mu=mu):
                 pv, pu, px = _unpack(th, n_s, v_size, u_size, n_x)
-                rate, cost = _soft_rates(pv, pu, px, channel.w, state.probs)
+                # the relaxed stochastic x-map's effective kernel
+                rate, cost = _kernel_rates(pv, pu, np.einsum("uvsx,sxy->vsuy", px, channel.w), state.probs)
                 return -(rate - mu * max(cost - r_d, 0.0))
 
             res = minimize(neg, theta, method="L-BFGS-B", options={"maxiter": 120})
@@ -201,10 +192,12 @@ def region_frontier(
     if rd_grid is None:
         rd_grid = np.linspace(0.0, math.log(max(channel.n_states, 2)), 9)
     rd_grid = np.asarray(rd_grid, dtype=np.float64)
+    if rd_grid.size == 0:
+        raise ValidationError("rd_grid holds no description-rate budget")
     if (rd_grid < 0).any():
         raise ValidationError("description-rate budgets must be non-negative")
 
-    candidates = [_degenerate_v_candidate(channel, state, v_size, u_size, seed)]
+    candidates = [_degenerate_v_candidate(channel, state, v_size, u_size, restarts, seed)]
     try:
         candidates.append(_full_description_candidate(channel, state, v_size, u_size))
     except ValidationError:

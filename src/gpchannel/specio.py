@@ -9,7 +9,7 @@ kinds:
                   ({"u_given_s": rows, "g": [u][s]}), optional scalars
                   ("u_size", "gamma1", "gamma2", "rate", "rate_scale",
                   "side_information": encoder|both|none), and for
-                  region "v_size" and "rd_grid"
+                  region "v_size" and "rd_grid" (non-negative numbers)
   mixture       — "channel_mixture": [{"weight", "channel"}],
                   "state_mixture": [{"weight", "state_pmf"}], optional
                   shared "policy"
@@ -19,7 +19,9 @@ kinds:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 
 import numpy as np
 
@@ -60,6 +62,20 @@ def _alphabet_size(raw: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SpecError(f"{key}: alphabet size must be a positive integer, got {value!r}")
     return value
+
+
+def _finite_number(value, key: str):
+    # isfinite raises TypeError on a non-number, OverflowError on an int beyond float range
+    with contextlib.suppress(TypeError, OverflowError):
+        if not isinstance(value, bool) and math.isfinite(value):
+            return value
+    raise SpecError(f"{key}: must be a finite number, got {value!r}")
+
+
+def _rd_grid(grid) -> list:
+    if not isinstance(grid, list) or any(_finite_number(r_d, "rd_grid") < 0 for r_d in grid):
+        raise SpecError(f"rd_grid: must be a list of non-negative numbers, got {grid!r}")
+    return grid
 
 
 def parse_pmf(obj, context: str) -> Pmf:
@@ -110,9 +126,13 @@ def load_spec(path) -> dict:
         out["channel"] = parse_channel(_require(raw, "channel", "system"), "channel")
         if "policy" in raw:
             out["policy"] = parse_policy(raw["policy"], "policy")
-        for key in ("gamma1", "gamma2", "rate", "rate_scale", "side_information", "rd_grid"):
+        if "side_information" in raw:
+            out["side_information"] = raw["side_information"]
+        for key in ("gamma1", "gamma2", "rate", "rate_scale"):
             if key in raw:
-                out[key] = raw[key]
+                out[key] = _finite_number(raw[key], key)
+        if "rd_grid" in raw:
+            out["rd_grid"] = _rd_grid(raw["rd_grid"])
         for key in ("u_size", "v_size"):
             if key in raw:
                 out[key] = _alphabet_size(raw, key)
@@ -141,7 +161,7 @@ def load_spec(path) -> dict:
         out["channels"] = {k: parse_channel(v, f"channels.{k}") for k, v in chans.items()}
         out["states"] = {k: parse_pmf(v, f"states.{k}").probs for k, v in states.items()}
         if "n_max" in raw:
-            out["n_max"] = raw["n_max"]
+            out["n_max"] = _finite_number(raw["n_max"], "n_max")
         if "u_size" in raw:
             out["u_size"] = _alphabet_size(raw, "u_size")
     else:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from gpchannel import __version__
-from gpchannel.cli import EXIT_BUDGET, EXIT_VALIDATION, main
+from gpchannel.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_VALIDATION, main
 
 from conftest import bin_capacity
 
@@ -190,6 +190,32 @@ class TestCapacityCommand:
         assert res.exit_code == EXIT_VALIDATION
         assert "state_pmf" in res.output
 
+    def test_n_max_not_a_number_names_key(self, tmp_path):
+        spec = write_spec(
+            tmp_path,
+            {
+                "kind": "j-structured",
+                "channels": {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]},
+                "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]},
+                "n_max": "many",
+            },
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "n_max" in res.output
+
+    def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch):
+        import gpchannel.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver invariant\nbroken")
+
+        monkeypatch.setattr(cli, "gp_capacity_dm", broken)
+        spec = write_spec(tmp_path, system_spec())
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_INTERNAL
+        assert res.output == "internal error: RuntimeError: solver invariant broken\n"
+
 
 class TestSpectrumCommand:
     def test_round_trip(self, tmp_path):
@@ -260,6 +286,15 @@ class TestSimulateCommand:
         res = run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("value", ["0.02", None, math.nan, True])
+    @pytest.mark.parametrize("key", ["gamma1", "gamma2", "rate", "rate_scale"])
+    def test_scalar_not_a_finite_number_names_key(self, tmp_path, key, value):
+        spec = write_spec(tmp_path, system_spec(**{key: value}))
+        res = run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", "20", "--trials", "5"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert key in res.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestRegionCommand:
     def test_round_trip(self, tmp_path):
@@ -289,6 +324,20 @@ class TestRegionCommand:
         spec = write_spec(tmp_path, system_spec(rd_grid=[-1.0, 0.0]))
         res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", [[], "0.1", [0.0, "x"], [0.0, math.inf]])
+    def test_bad_grid_names_key(self, tmp_path, grid):
+        spec = write_spec(tmp_path, system_spec(rd_grid=grid))
+        res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o"), "--v-size", "1", "--u-size", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "rd_grid" in res.output
+
+    def test_zero_grid_points_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, system_spec())
+        res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o"), "--grid-points", "0"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "--grid-points" in res.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option", ["--restarts", "--v-size", "--u-size"])
     def test_option_below_one_rejected(self, tmp_path, option):

@@ -236,6 +236,43 @@ class TestRunExperiment:
             outcomes.add((record.ok, record.e3))
         assert len(outcomes) > 1
 
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_failed_scan_sends_first_candidate(self, bsc_system, monkeypatch, mode):
+        exp_ = design_experiment(bsc_system, 20, 0.02, 0.02, rate=0.5 * bsc_system.i_uy, seed=13, trials=6)
+        sent = []
+        atypical = coding._atypical
+
+        def recording(system, u_block, y_block, t1):
+            sent.append(u_block.copy())
+            return atypical(system, u_block, y_block, t1)
+
+        # no candidate qualifies, so every scan fails
+        monkeypatch.setattr(coding, "eta", lambda *args: (1.0, 0.0))
+        monkeypatch.setattr(coding, "_atypical", recording)
+        rep = run_experiment(bsc_system, exp_, mode=mode, pi_draws=500)
+        code = build_code(exp_, bsc_system.p_u)
+        for t, (record, u_block) in enumerate(zip(rep.trials, sent)):
+            if mode == "explicit":
+                assert record.e1
+                first = code.words[code.bin_range(record.message)[0]]
+                assert record.l_index == code.bin_range(record.message)[0]
+            else:
+                rng = stream(exp_.seed, 0x7122, t)
+                rng.random(exp_.n)  # the state block
+                first = sample(bsc_system.p_u, rng.random(exp_.n))
+                assert record.l_index == 0
+            np.testing.assert_array_equal(u_block, first)
+
+    def test_output_law_is_the_mapped_channel_row(self, uniform_state):
+        channel = state_flip_bsc(0.1)
+        policy = GPPolicy(
+            u_given_s=ConditionalPmf(np.array([[0.3, 0.7], [0.6, 0.4]])),
+            x_map=np.array([[0, 1], [1, 1]]),
+        )
+        system = MemorylessSystem(uniform_state, policy, channel)
+        # Y is drawn from P(y|u,s), which is exactly W(y | g(u,s), s)
+        np.testing.assert_array_equal(system.p_y_given_us, channel.w[[0, 1], policy.x_map])
+
     def test_explicit_guard_refusal(self, bsc_system):
         exp_ = design_experiment(bsc_system, 400, 0.02, 0.02, seed=8, trials=10)
         with pytest.raises(BudgetError, match="implicit"):

@@ -55,6 +55,9 @@ class TestValidation:
         )
         with pytest.raises(ValidationError):
             policy.x_given_us(2)
+        # the stochastic (|U|,|S|,|X|) form is not accepted
+        with pytest.raises(ValidationError, match="x_map"):
+            GPPolicy(u_given_s=ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]])), x_map=np.full((2, 2, 2), 0.5))
 
     def test_immutability(self):
         p = Pmf(np.array([0.5, 0.5]))

@@ -72,6 +72,22 @@ class TestFrontier:
     def test_negative_grid_rejected(self, uniform_state):
         with pytest.raises(ValidationError):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[-0.1, 0.0])
+        with pytest.raises(ValidationError, match="rd_grid"):
+            region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[])
+
+    def test_anchor_solves_at_the_region_restarts(self, uniform_state, monkeypatch):
+        import gpchannel.region as region
+
+        restarts = []
+        solve = region.gp_capacity_dm
+
+        def recording(*args, **kwargs):
+            restarts.append(kwargs.get("restarts"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(region, "gp_capacity_dm", recording)
+        region_frontier(state_flip_bsc(0.1), uniform_state, v_size=2, u_size=2, rd_grid=[0.0], restarts=3)
+        assert restarts == [3]
 
     @pytest.mark.parametrize("key", ["v_size", "u_size", "restarts"])
     def test_size_or_restarts_below_one_rejected(self, uniform_state, key):
