@@ -377,10 +377,12 @@ def gp_capacity_dm(
     )
     value = max(value, 0.0)
     cap = math.log(channel.n_outputs)
-    value = min(value, cap)
     policy = GPPolicy(u_given_s=ConditionalPmf(v.copy()), x_map=g)
     diag = dict(diag)
     diag["u_size"] = u_size
+    # I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault
+    diag["value_clipped"] = value > cap
+    value = min(value, cap)
     return CapacityResult(value=value, policy=policy, diagnostics=diag)
 
 

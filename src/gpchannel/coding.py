@@ -530,7 +530,9 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
     n = experiment.n
     covering_threshold = math.sqrt(pi["pi1"])
     log_sub = n * (experiment.rate_total - experiment.rate)
-    scan_limit = int(min(math.exp(min(log_sub, 20)), SCAN_CAP))
+    # at least one candidate: the bin holds one entry when rate exceeds
+    # rate_total by the rounding slack CodingExperiment admits
+    scan_limit = max(1, int(min(math.exp(min(log_sub, 20)), SCAN_CAP)))
     for t in range(experiment.trials):
         if codebook is None:
             rng = stream(experiment.seed, 0x7122, t)

@@ -136,6 +136,46 @@ def _unpack(theta, n_s, v_size, u_size, n_x):
     return pv, pu, px
 
 
+def _penalty_value_and_grad(theta, w, q, v_size, u_size, mu, r_d):
+    """-(rate - mu * max(cost - r_d, 0)) of the relaxed policy theta on the
+    kernel w[s,x,y] and state law q, and its exact gradient in theta.
+
+    Each information term is E_P[log ratio of its own marginals] of the
+    joint P[s,v,u,y] = q P(v|s) P(u|v,s) sum_x P(x|u,v,s) W(y|x,s), and
+    that log-ratio table is its gradient in P: the additive constants
+    cancel because P sums to 1 for every theta. The table is chained back
+    to the three softmax blocks. Cells with P = 0 get 0; every path from
+    such a cell to theta passes through a zero factor.
+    """
+    n_s, n_x, _ = w.shape
+    pv, pu, px = _unpack(theta, n_s, v_size, u_size, n_x)
+    wg = np.einsum("uvsx,sxy->svuy", px, w)
+    q_pv_pu = np.einsum("s,sv,vsu->svu", q, pv, pu)
+    p = q_pv_pu[..., None] * wg
+    live = p > 0
+
+    def log_marginal(axes):
+        return np.log(p.sum(axis=axes, keepdims=True))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_sv, l_vy = log_marginal((2, 3)), log_marginal((0, 2))
+        # I(U;Y|V) - I(U;S|V): the log P(v) and log P(v,u) terms cancel
+        rate_table = np.where(live, log_marginal(0) - l_vy - log_marginal(3) + l_sv, 0.0)
+        # I(V;S) - I(V;Y): the log P(v) terms cancel
+        cost_table = np.where(live, l_sv - log_marginal((1, 2, 3)) - l_vy + log_marginal((0, 1, 2)), 0.0)
+    rate, cost = float((p * rate_table).sum()), float((p * cost_table).sum())
+    dp = mu * cost_table - rate_table if cost > r_d else -rate_table
+
+    d_pv = np.einsum("svuy,s,vsu,svuy->sv", dp, q, pu, wg)
+    d_pu = np.einsum("svuy,s,sv,svuy->vsu", dp, q, pv, wg)
+    d_px = np.einsum("svuy,svu,sxy->uvsx", dp, q_pv_pu, w)
+    grad = np.concatenate([
+        (pr * (d - (pr * d).sum(axis=-1, keepdims=True))).ravel()
+        for pr, d in ((pv, d_pv), (pu, d_pu), (px, d_px))
+    ])
+    return -(rate - mu * max(cost - r_d, 0.0)), grad
+
+
 def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
     n_s, n_x = channel.n_states, channel.n_inputs
     dim = n_s * v_size + v_size * n_s * u_size + u_size * v_size * n_s * n_x
@@ -145,13 +185,10 @@ def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
         theta0 = rng.normal(scale=1.5, size=dim)
         theta = theta0
         for mu in (2.0, 20.0, 200.0):
-            def neg(th, mu=mu):
-                pv, pu, px = _unpack(th, n_s, v_size, u_size, n_x)
-                # the relaxed stochastic x-map's effective kernel
-                rate, cost = _kernel_rates(pv, pu, np.einsum("uvsx,sxy->vsuy", px, channel.w), state.probs)
-                return -(rate - mu * max(cost - r_d, 0.0))
-
-            res = minimize(neg, theta, method="L-BFGS-B", options={"maxiter": 120})
+            res = minimize(
+                _penalty_value_and_grad, theta, args=(channel.w, state.probs, v_size, u_size, mu, r_d),
+                jac=True, method="L-BFGS-B", options={"maxiter": 120},
+            )
             theta = res.x
         pv, pu, px = _unpack(theta, n_s, v_size, u_size, n_x)
         g = px.argmax(axis=-1).astype(np.int64)

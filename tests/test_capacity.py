@@ -69,6 +69,18 @@ class TestGPCapacity:
         res = gp_capacity_dm(state_flip_bsc(0.3), uniform_state, u_size=3, restarts=4, iters=80)
         assert 0.0 <= res.value <= math.log(2) + 1e-12
 
+    def test_value_above_log_outputs_clipped_and_flagged(self, uniform_state, monkeypatch):
+        solve = capacity.optimize_gp_policy
+
+        def inflated(*args, **kwargs):
+            value, v, g, diag = solve(*args, **kwargs)
+            return value + 1.0, v, g, diag
+
+        monkeypatch.setattr(capacity, "optimize_gp_policy", inflated)
+        res = gp_capacity_dm(state_flip_bsc(0.1), uniform_state, u_size=2, restarts=1, iters=20)
+        assert res.value == math.log(2)
+        assert res.diagnostics["value_clipped"] is True
+
     def test_monotone_in_u_size(self, uniform_state):
         ch = sym_bsc_kernel(0.05, 0.3)
         values = [

@@ -68,6 +68,14 @@ class TestCapacityCommand:
         assert headers[1] == "# seed=1"
         assert headers[2].startswith("# spec_digest=")
 
+    def test_encoder_side_reports_no_value_clip(self, tmp_path):
+        spec = write_spec(tmp_path, system_spec())
+        out = tmp_path / "out"
+        res = run(["capacity", "--spec", str(spec), "--out", str(out), "--restarts", "1"])
+        assert res.exit_code == 0
+        lines = (out / "capacity.txt").read_text(encoding="utf-8").splitlines()
+        assert "diagnostics.value_clipped=False" in lines
+
     def test_stateless_none(self, tmp_path):
         spec = write_spec(
             tmp_path,

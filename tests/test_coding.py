@@ -263,6 +263,15 @@ class TestRunExperiment:
                 assert record.l_index == 0
             np.testing.assert_array_equal(u_block, first)
 
+    def test_rate_just_above_total_scans_one_candidate(self, bsc_system):
+        # CodingExperiment admits rate > rate_total by 1e-12; the bin then
+        # holds one entry and the implicit scan still draws one candidate
+        exp_ = CodingExperiment(n=10, gamma1=0.02, gamma2=0.02, rate=0.1 + 5e-13, rate_total=0.1, trials=20)
+        assert exp_.subcodebook_size == 1
+        rep = run_experiment(bsc_system, exp_, mode="implicit", pi_draws=500)
+        assert len(rep.trials) == 20
+        assert all(r.l_index == 0 for r in rep.trials)
+
     def test_output_law_is_the_mapped_channel_row(self, uniform_state):
         channel = state_flip_bsc(0.1)
         policy = GPPolicy(

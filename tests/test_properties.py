@@ -1,12 +1,14 @@
 """Property tests for the primitives every estimator shares: the
 counts-times-log-table block score, the explicit decoder's type-count
-scores built on it, the inverse-CDF sampler, and the GP optimizer's
-enumeration of input maps up to relabelling."""
+scores built on it, the inverse-CDF sampler, the GP optimizer's
+enumeration of input maps up to relabelling, and the region solver's
+penalised objective and its gradient."""
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from gpchannel import kernels
 from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
 from gpchannel.coding import sample
 from gpchannel.info import counts_scores
+from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
 
 from conftest import full_product_maps
 
@@ -161,3 +164,42 @@ def test_random_starts_are_kept_and_only_relabelled(sizes, seed):
         # the same (row, column of v) pairs, stably sorted by row
         pairs_in = sorted(zip(map(tuple, g_in.tolist()), map(tuple, v_in.T.tolist())), key=lambda p: p[0])
         assert list(zip(map(tuple, g_out.tolist()), map(tuple, v_out.T.tolist()))) == pairs_in
+
+
+@st.composite
+def region_penalty_case(draw):
+    """(theta, w, q, |V|, |U|) of a relaxed region policy on a channel
+    with a zero entry; a spike of 800 in theta underflows the rest of its
+    softmax row to exactly 0."""
+    n_s, n_x, n_y = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    v_size, u_size = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(n_y), size=(n_s, n_x))
+    w[0, 0, 0] = 0.0
+    w[0, 0] /= w[0, 0].sum()
+    dim = n_s * v_size + v_size * n_s * u_size + u_size * v_size * n_s * n_x
+    theta = rng.normal(scale=1.5, size=dim)
+    theta[rng.random(dim) < draw(st.sampled_from([0.0, 0.2]))] = 800.0
+    return theta, w, rng.dirichlet(np.ones(n_s)), v_size, u_size
+
+
+@settings(deadline=None, max_examples=60)
+@given(region_penalty_case(), st.sampled_from([2.0, 20.0, 200.0]))
+def test_region_penalty_gradient_matches_central_differences(case, mu):
+    theta, w, q, v_size, u_size = case
+    pv, pu, px = _unpack(theta, w.shape[0], v_size, u_size, w.shape[1])
+    rate, cost = _kernel_rates(pv, pu, np.einsum("uvsx,sxy->vsuy", px, w), q)
+    h = 1e-6
+    steps = np.eye(theta.size) * h
+    # budgets 0.05 nats either side of the cost: hinge active, then inactive
+    for r_d in (cost - 0.05, cost + 0.05):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            value, grad = _penalty_value_and_grad(theta, w, q, v_size, u_size, mu, r_d)
+        assert value == pytest.approx(-(rate - mu * max(cost - r_d, 0.0)), abs=1e-10)
+        assert grad.shape == theta.shape and np.isfinite(grad).all()
+        central = np.array([
+            _penalty_value_and_grad(theta + e, w, q, v_size, u_size, mu, r_d)[0]
+            - _penalty_value_and_grad(theta - e, w, q, v_size, u_size, mu, r_d)[0]
+            for e in steps
+        ]) / (2 * h)
+        np.testing.assert_allclose(grad, central, rtol=0, atol=1e-7 * (1.0 + mu))

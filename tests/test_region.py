@@ -108,7 +108,18 @@ class TestFrontier:
         for pt in pts:
             assert region_membership(pt, channel, uniform_state)
 
-    @pytest.mark.slow
+    def test_endpoints_state_flip_at_cardinality_bounds(self, uniform_state):
+        channel = state_flip_bsc(0.1)
+        pts = region_frontier(channel, uniform_state, rd_grid=[0.0, math.log(2)], restarts=1, seed=0)
+        diag = pts[0].diagnostics
+        assert (diag["v_size"], diag["u_size"]) == diag["cardinality_bounds"] == (5, 20)
+        gp = gp_capacity_dm(channel, uniform_state, restarts=1, seed=0)
+        both = state_at_both_capacity(channel, uniform_state).value
+        assert pts[0].r == pytest.approx(gp.value, abs=2e-3)
+        assert pts[-1].r == pytest.approx(both, abs=2e-3)
+        for pt in pts:
+            assert region_membership(pt, channel, uniform_state)
+
     def test_monotone_and_membership_asym(self, uniform_state):
         channel = asym_bsc()
         grid = [0.0, 0.05, 0.15, math.log(2)]
@@ -136,7 +147,6 @@ class TestFrontier:
             assert pt.r == pytest.approx(cap, abs=2e-3)
         assert saturation_knee(pts) == 0.0
 
-    @pytest.mark.slow
     def test_determinism(self, uniform_state):
         channel = asym_bsc()
         kw = dict(v_size=3, u_size=4, rd_grid=[0.0, 0.2], restarts=2, seed=3)
