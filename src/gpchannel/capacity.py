@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import mutual_information, conditional_mutual_information
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError
+from .info import mutual_information
+from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, effective_kernel
 from .rng import stream
 
 _LOG_FLOOR = 1e-26
@@ -68,6 +68,20 @@ def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000)
     return max(mutual_information(q), 0.0), r
 
 
+def _divergence_bound(p_y_x: np.ndarray, r: np.ndarray) -> float:
+    """max_x D(W(.|x) || P_Y) at the output law P_Y of input law r.
+
+    Every P_Y gives an upper bound on the capacity of W, so this
+    certifies a Blahut-Arimoto value from above; the gap closes at the
+    optimal input law.
+    """
+    w = np.asarray(p_y_x, dtype=np.float64)
+    py = r @ w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(w > 0, w * (np.log(w) - np.log(py)), 0.0).sum(axis=1)
+    return float(d.max())
+
+
 def no_state_capacity(channel) -> CapacityResult:
     """Capacity of a stateless kernel (|S| = 1 ChannelKernel or 2-d matrix)."""
     if isinstance(channel, ChannelKernel):
@@ -82,7 +96,8 @@ def no_state_capacity(channel) -> CapacityResult:
         u_given_s=ConditionalPmf(r[None, :]),
         x_map=np.arange(nx, dtype=np.int64)[:, None],
     )
-    return CapacityResult(value=value, policy=policy, diagnostics={"method": "blahut-arimoto"})
+    diagnostics = {"method": "blahut-arimoto", "upper_bound": _divergence_bound(w, r)}
+    return CapacityResult(value=value, policy=policy, diagnostics=diagnostics)
 
 
 def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult:
@@ -94,18 +109,20 @@ def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult
     """
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
-    value = 0.0
+    value = bound = 0.0
     per_state_inputs = []
     for s in range(channel.n_states):
         c_s, r_s = blahut_arimoto(channel.w[s])
         value += float(state.probs[s]) * c_s
+        bound += float(state.probs[s]) * _divergence_bound(channel.w[s], r_s)
         per_state_inputs.append(r_s)
     rows = np.stack(per_state_inputs)  # u indexes x, chosen per state
     policy = GPPolicy(
         u_given_s=ConditionalPmf(rows),
         x_map=np.tile(np.arange(channel.n_inputs, dtype=np.int64)[:, None], (1, channel.n_states)),
     )
-    return CapacityResult(value=value, policy=policy, diagnostics={"method": "per-state blahut-arimoto"})
+    diagnostics = {"method": "per-state blahut-arimoto", "upper_bound": bound}
+    return CapacityResult(value=value, policy=policy, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +233,6 @@ def _onto_relabelling_classes(g_rep: np.ndarray, v0: np.ndarray, n_inputs: int):
     return g[first], v[first]
 
 
-def _effective_kernels(w: np.ndarray, g_batch: np.ndarray) -> np.ndarray:
-    """(S,B,U,Y) kernel rows W(y|g(u,s),s) selected by per-row deterministic maps."""
-    s_idx = np.arange(w.shape[0])
-    return w[s_idx[:, None, None], g_batch.transpose(2, 0, 1), :]
-
-
 def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
     """Margin of the best row over the best row with a different effective policy.
 
@@ -298,7 +309,8 @@ def optimize_gp_policy(
         v0 = np.concatenate([v0, np.asarray(cand_v, dtype=np.float64)[None]], axis=0)
     b = g_rep.shape[0]
 
-    wg_per_k = [_effective_kernels(np.asarray(w), g_rep) for w in channels]
+    # (S,B,U,Y) and contiguous: the objective reads one state's (B,U,Y) slab at a time
+    wg_per_k = [np.ascontiguousarray(effective_kernel(np.asarray(w), g_rep).transpose(2, 0, 1, 3)) for w in channels]
     v = v0
     step = np.full(b, _STEP0)
     terms = _objective_terms(v, states, wg_per_k)
@@ -458,17 +470,6 @@ class SequenceSpec:
                     raise ValidationError(f"j-structured spec needs state {key!r}")
         if self.kind == "explicit-periodic" and not self.period:
             raise ValidationError("explicit-periodic spec needs a period")
-
-    def component(self, i: int) -> tuple[str, str]:
-        """(channel key, state key) at 1-based index i."""
-        if self.kind == "stationary":
-            return "a", "a"
-        if self.kind == "j-structured":
-            if i % 2 == 0:
-                return "c", "b"
-            return ("a" if in_dyadic_blocks(i) else "b"), "a"
-        ck, sk = self.period[(i - 1) % len(self.period)]
-        return ck, sk
 
 
 def cesaro_capacity(seq: SequenceSpec, n_max: int, *, solver_kwargs: dict | None = None) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
@@ -304,11 +305,9 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(seed, spec_path)
-    import math as _math
-
     rd_grid = spec.get("rd_grid")
     if rd_grid is None:
-        rd_grid = np.linspace(0.0, _math.log(max(spec["channel"].n_states, 2)), grid_points)
+        rd_grid = np.linspace(0.0, math.log(max(spec["channel"].n_states, 2)), grid_points)
     try:
         points = region_frontier(
             spec["channel"], spec["state"],

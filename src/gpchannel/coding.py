@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .info import counts_scores, density_table, mutual_information
-from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, compose_joint, marginal
+from .prob import ChannelKernel, DimensionError, GPPolicy, Pmf, ValidationError, effective_kernel
 from .rng import stream
 
 CODEWORD_CAP = 2**22
@@ -65,17 +65,28 @@ class MemorylessSystem:
     policy: GPPolicy
     channel: ChannelKernel
 
+    def __post_init__(self):
+        if self.policy.n_states != self.state.size or self.channel.n_states != self.state.size:
+            raise DimensionError("state alphabet size disagrees across inputs")
+
     @cached_property
-    def joint(self):
-        return compose_joint(self.state, self.policy, self.channel)
+    def p_y_given_us(self) -> np.ndarray:
+        """(U,S,Y): channel output law given the codeword/state symbols."""
+        return effective_kernel(self.channel.w, self.policy.x_map)
+
+    @cached_property
+    def p_suy(self) -> np.ndarray:
+        """(S,U,Y) single-letter law P(s) P(u|s) W(y|g(u,s),s)."""
+        q, v = self.state.probs, self.policy.u_given_s.rows
+        return q[:, None, None] * (v[:, :, None] * self.p_y_given_us.transpose(1, 0, 2))
 
     @cached_property
     def p_uy(self) -> np.ndarray:
-        return marginal(self.joint, "uy")
+        return self.p_suy.sum(axis=0)
 
     @cached_property
     def p_us(self) -> np.ndarray:
-        return marginal(self.joint, "su").T.copy()
+        return self.p_suy.sum(axis=2).T.copy()
 
     @cached_property
     def p_u(self) -> np.ndarray:
@@ -88,11 +99,11 @@ class MemorylessSystem:
     @cached_property
     def d_uy(self) -> np.ndarray:
         """Per-symbol density log[p(y|u)/p(y)]; -inf on zero-mass pairs."""
-        return density_table(self.p_uy).values
+        return density_table(self.p_uy)
 
     @cached_property
     def d_us(self) -> np.ndarray:
-        return density_table(self.p_us).values
+        return density_table(self.p_us)
 
     @cached_property
     def i_uy(self) -> float:
@@ -101,12 +112,6 @@ class MemorylessSystem:
     @cached_property
     def i_us(self) -> float:
         return mutual_information(self.p_us)
-
-    @cached_property
-    def p_y_given_us(self) -> np.ndarray:
-        """(U,S,Y): channel output law given the codeword/state symbols."""
-        pxus = self.policy.x_given_us(self.channel.n_inputs)  # (U,S,X)
-        return np.einsum("usx,sxy->usy", pxus, self.channel.w)
 
     @cached_property
     def p_u_given_y(self) -> np.ndarray:

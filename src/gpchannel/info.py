@@ -21,18 +21,6 @@ class SampleBudgetError(ValueError):
     """Too few samples for the requested quantile mass."""
 
 
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats."""
-    return float(-_xlogx(np.asarray(p, dtype=np.float64)).sum())
-
-
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -67,35 +55,26 @@ def conditional_mutual_information(joint: np.ndarray) -> float:
     return max(total, 0.0)
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    """Per-symbol values log[p(a|b)/p(a)]; entries with p(a)=0 are undefined.
+def density_table(joint: np.ndarray) -> np.ndarray:
+    """Per-symbol values log[p(a|b)/p(a)] of a joint over (a, b).
 
-    Undefined entries occur only on symbols of zero marginal mass, so
-    they are never produced by sampling from the joint.
+    An entry is NaN (undefined) where p(a) = 0 or p(b) = 0, which
+    sampling from the joint never produces, and -inf on a zero-mass pair
+    with positive marginals.
     """
-
-    values: np.ndarray
-    defined: np.ndarray
-
-
-def density_table(joint: np.ndarray) -> DensityTable:
     p = np.asarray(joint, dtype=np.float64)
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
-    defined = (pa[:, None] > 0) & np.ones_like(p, dtype=bool)
     values = np.full(p.shape, np.nan)
     # p(a|b) = p(a,b)/p(b); log ratio against p(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(pb[None, :] > 0, p / np.where(pb[None, :] > 0, pb[None, :], 1.0), 0.0)
         vals = np.log(cond) - np.log(pa[:, None])
-    ok = defined & (pb[None, :] > 0)
+    ok = (pa[:, None] > 0) & (pb[None, :] > 0)
     values[ok] = vals[ok]
     # zero-probability pair on positive marginals: density is -inf
     values[ok & (p == 0)] = -np.inf
-    defined = defined & (pb[None, :] > 0)
-    values[~defined] = np.nan
-    return DensityTable(values=values, defined=defined)
+    return values
 
 
 def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
@@ -111,11 +90,11 @@ def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     return out
 
 
-def expected_density(joint: np.ndarray, table: DensityTable) -> float:
+def expected_density(joint: np.ndarray, table: np.ndarray) -> float:
     """E[table] under the joint; equals mutual_information on valid input."""
     p = np.asarray(joint, dtype=np.float64)
     mask = p > 0
-    return float((p[mask] * table.values[mask]).sum())
+    return float((p[mask] * table[mask]).sum())
 
 
 @dataclass(frozen=True)

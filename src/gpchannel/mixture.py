@@ -6,7 +6,7 @@ shared single-letter policy is
 
     min over (k,l) of I(U_l; Y_kl)  -  max over l of I(U_l; S_l),
 
-where (S_l, U_l, X_l, Y_kl) is the single-letter system composed from
+where (S_l, U_l, Y_kl) is the single-letter system composed from
 state component l and channel component k. The Monte-Carlo demo draws
 n-block information densities under the exact mixture marginals and
 shows the spectrum splitting into one mode per component pair.
@@ -20,8 +20,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .capacity import CapacityResult, _averaged_channel_candidate, optimize_gp_policy
+from .coding import MemorylessSystem
 from .info import SpectrumSamples, counts_scores, mutual_information
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, compose_joint, marginal
+from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError
 from .rng import stream
 
 _WEIGHT_TOL = 1e-12
@@ -72,16 +73,9 @@ class MixtureSpec:
 
 def _pair_objective(mix: MixtureSpec, policy: GPPolicy):
     """(I(U;Y) matrix over (k,l), I(U;S) vector over l) for a shared policy."""
-    chans = mix.channel_support
     states = mix.state_support
-    i_uy = np.empty((len(chans), len(states)))
-    i_us = np.empty(len(states))
-    for li, q in enumerate(states):
-        joint_su = q.probs[:, None] * policy.u_given_s.rows
-        i_us[li] = mutual_information(joint_su)
-        for ki, ch in enumerate(chans):
-            joint = compose_joint(q, policy, ch)
-            i_uy[ki, li] = mutual_information(marginal(joint, "uy"))
+    i_uy = np.array([[MemorylessSystem(q, policy, ch).i_uy for q in states] for ch in mix.channel_support])
+    i_us = np.array([mutual_information(q.probs[:, None] * policy.u_given_s.rows) for q in states])
     return i_uy, i_us
 
 
@@ -125,17 +119,10 @@ def _component_tables(mix: MixtureSpec, policy: GPPolicy):
     Returns (cells (K,L,U,Y) joint laws, log_uy, log_u (L,U), log_y
     (K,L,Y), log weight vectors). Zero cells map to -inf logs.
     """
-    chans = mix.channel_support
     states = mix.state_support
     cw = np.array([w for w, _ in mix.channel_components if w > _WEIGHT_TOL])
     sw = np.array([w for w, _ in mix.state_components if w > _WEIGHT_TOL])
-    k_n, l_n = len(chans), len(states)
-    first = compose_joint(states[0], policy, chans[0]).joint
-    n_u, n_y = first.shape[1], first.shape[3]
-    cells = np.empty((k_n, l_n, n_u, n_y))
-    for li, q in enumerate(states):
-        for ki, ch in enumerate(chans):
-            cells[ki, li] = marginal(compose_joint(q, policy, ch), "uy")
+    cells = np.array([[MemorylessSystem(q, policy, ch).p_uy for q in states] for ch in mix.channel_support])
     with np.errstate(divide="ignore"):
         log_uy = np.log(cells)
         log_u = np.log(cells.sum(axis=3)[0])  # u-marginal depends on l only

@@ -1,4 +1,4 @@
-"""Finite-alphabet probability objects and composition of joint laws.
+"""Finite-alphabet probability objects and the effective channel of an input map.
 
 All probabilities are 64-bit floats, all logs natural, all rates in nats.
 Objects are immutable after construction (arrays are set read-only) and
@@ -7,7 +7,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,31 +57,17 @@ class Pmf:
 
 @dataclass(frozen=True)
 class ConditionalPmf:
-    """Stochastic matrix: one Pmf over outputs per condition symbol.
-
-    Rows may be marked undefined (e.g. a conditional extracted from a
-    joint on a zero-probability condition); undefined rows are not
-    validated and hold no law.
-    """
+    """Stochastic matrix: one Pmf over outputs per condition symbol."""
 
     rows: np.ndarray
-    row_defined: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=np.float64)
         if r.ndim != 2:
             raise ValidationError("ConditionalPmf rows must be a matrix")
-        defined = self.row_defined
-        if defined is None:
-            defined = np.ones(r.shape[0], dtype=bool)
-        defined = np.asarray(defined, dtype=bool)
         for i in range(r.shape[0]):
-            if defined[i]:
-                _check_pmf(r[i], f"ConditionalPmf row {i}")
+            _check_pmf(r[i], f"ConditionalPmf row {i}")
         object.__setattr__(self, "rows", _freeze(r))
-        defined = defined.copy()
-        defined.setflags(write=False)
-        object.__setattr__(self, "row_defined", defined)
 
     @property
     def n_conditions(self) -> int:
@@ -153,83 +139,16 @@ class GPPolicy:
     def n_states(self) -> int:
         return self.u_given_s.n_conditions
 
-    @property
-    def n_aux(self) -> int:
-        return self.u_given_s.n_outputs
 
-    def x_given_us(self, n_inputs: int) -> np.ndarray:
-        """The (|U|,|S|,|X|) one-hot form of the input map."""
-        if int(self.x_map.max(initial=0)) >= n_inputs:
-            raise ValidationError("x_map refers to an input outside the channel alphabet")
-        out = np.zeros((self.n_aux, self.n_states, n_inputs))
-        nu, ns = self.x_map.shape
-        out[np.arange(nu)[:, None], np.arange(ns)[None, :], self.x_map] = 1.0
-        return out
+def effective_kernel(w: np.ndarray, x_map: np.ndarray) -> np.ndarray:
+    """W_g[..., u, s, :] = W(. | x_map[..., u, s], s) for a channel w[s, x, y].
 
-
-@dataclass(frozen=True)
-class JointSystem:
-    """Product law over (s, u, x, y) built by compose_joint."""
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.joint, dtype=np.float64)
-        if p.ndim != 4:
-            raise ValidationError("JointSystem must have axes (s,u,x,y)")
-        _check_pmf(p, "joint")
-        object.__setattr__(self, "joint", _freeze(p))
-
-    AXES = "suxy"
-
-    def axis(self, name: str) -> int:
-        return self.AXES.index(name)
-
-
-def compose_joint(state: Pmf, policy: GPPolicy, channel: ChannelKernel) -> JointSystem:
-    """Build p(s,u,x,y) = P_S(s) P(u|s) P(x|u,s) W(y|x,s).
-
-    The auxiliary symbol influences y only through (x, s), so the
-    resulting law always satisfies the required Markov structure.
+    x_map holds deterministic input maps (|U|,|S|) under any leading
+    batch axes; the result keeps them and appends the output axis.
     """
-    if policy.n_states != state.size or channel.n_states != state.size:
-        raise DimensionError("state alphabet size disagrees across inputs")
-    pxus = policy.x_given_us(channel.n_inputs)  # (U,S,X)
-    joint = np.einsum(
-        "s,su,usx,sxy->suxy",
-        state.probs,
-        policy.u_given_s.rows,
-        pxus,
-        channel.w,
-        optimize=True,
-    )
-    return JointSystem(joint)
-
-
-def marginal(joint: JointSystem, keep: str) -> np.ndarray:
-    """Sum out every axis not named in `keep`; axes returned in s,u,x,y order."""
-    keep_idx = sorted(joint.axis(a) for a in keep)
-    drop = tuple(i for i in range(4) if i not in keep_idx)
-    return joint.joint.sum(axis=drop)
-
-
-def conditional(joint: JointSystem, target: str, given: str) -> ConditionalPmf:
-    """P(target | given) with rows on zero-mass conditions marked undefined.
-
-    A zero-probability condition never yields a silently-uniform or NaN
-    row; the row is zero-filled and flagged in row_defined.
-    """
-    order = given + target
-    m = marginal(joint, order)
-    # marginal() returns axes in canonical s,u,x,y order; put given axes first
-    canon = sorted(order, key=joint.axis)
-    m = np.moveaxis(m, [canon.index(a) for a in order], range(len(order)))
-    n_given = int(np.prod(m.shape[: len(given)]))
-    n_target = int(np.prod(m.shape[len(given):]))
-    flat = m.reshape(n_given, n_target)
-    mass = flat.sum(axis=1)
-    defined = mass > 0
-    rows = np.zeros_like(flat)
-    rows[defined] = flat[defined] / mass[defined, None]
-    return ConditionalPmf(rows, row_defined=defined)
-
+    x_map = np.asarray(x_map)
+    if x_map.shape[-1:] != w.shape[:1]:
+        raise DimensionError("x_map state axis disagrees with the channel")
+    if x_map.size and (x_map.min() < 0 or x_map.max() >= w.shape[1]):
+        raise ValidationError("x_map refers to an input outside the channel alphabet")
+    return w[np.arange(w.shape[0]), x_map]

@@ -25,7 +25,7 @@ from scipy.special import softmax
 
 from .capacity import blahut_arimoto, gp_capacity_dm
 from .info import conditional_mutual_information, mutual_information
-from .prob import ChannelKernel, Pmf, ValidationError
+from .prob import ChannelKernel, Pmf, ValidationError, effective_kernel
 from .rng import stream
 
 
@@ -65,9 +65,8 @@ def _kernel_rates(pv, pu, wg, q) -> tuple[float, float]:
 
 def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> dict:
     """Exact single-letter rates for one policy."""
-    g = np.asarray(policy.x_map, dtype=np.int64)
-    # W_g[v,s,u,y] = W(y | g[u,v,s], s)
-    wg = channel.w[np.arange(g.shape[2])[None, :, None], g.transpose(1, 2, 0), :]
+    # W_g[v,s,u,y] = W(y | g[u,v,s], s): the maps g[u] batched over u
+    wg = effective_kernel(channel.w, np.asarray(policy.x_map, dtype=np.int64)).transpose(1, 2, 0, 3)
     rate, cost = _kernel_rates(
         np.asarray(policy.v_given_s, dtype=np.float64), np.asarray(policy.u_given_vs, dtype=np.float64),
         wg, state.probs,

@@ -2,7 +2,9 @@
 
 One spec file describes one system; the "kind" key discriminates the
 variants. Probability rows off by more than 1e-9 are rejected with the
-offending key named; rows off by at most 1e-9 are renormalized.
+offending key named; rows off by at most 1e-9 are renormalized. Alphabet
+sizes must agree across keys (state laws and policies against their
+channel, mixture channels against the first), or the key is named too.
 
 kinds:
   system        — "state_pmf", "channel" [s][x][y], optional "policy"
@@ -98,15 +100,33 @@ def parse_channel(obj, context: str) -> ChannelKernel:
     return ChannelKernel(_normalize_rows(arr, context))
 
 
-def parse_policy(obj: dict, context: str) -> GPPolicy:
+def _check_states(key: str, size: int, channel: ChannelKernel, channel_key: str) -> None:
+    if size != channel.n_states:
+        raise SpecError(f"{key}: {size} states, but {channel_key} has {channel.n_states}")
+
+
+def parse_policy(obj: dict, context: str, channel: ChannelKernel, channel_key: str) -> GPPolicy:
     rows = np.asarray(_require(obj, "u_given_s", context), dtype=np.float64)
     if rows.ndim != 2:
         raise SpecError(f"{context}.u_given_s: must be a matrix of rows per state")
+    _check_states(f"{context}.u_given_s", rows.shape[0], channel, channel_key)
     g = np.asarray(_require(obj, "g", context))
     if g.ndim != 2 or not np.issubdtype(g.dtype, np.integer):
         raise SpecError(f"{context}.g: must be an integer table [u][s]")
+    if g.shape != (rows.shape[1], rows.shape[0]):
+        raise SpecError(f"{context}.g: shape {list(g.shape)} is not the [u][s] shape of {context}.u_given_s")
+    if g.size and g.max() >= channel.n_inputs:
+        raise SpecError(f"{context}.g: input {g.max()} outside the {channel.n_inputs} inputs of {channel_key}")
     # spec rows are per-state; GPPolicy stores them the same way
     return GPPolicy(u_given_s=ConditionalPmf(_normalize_rows(rows, f"{context}.u_given_s")), x_map=g.astype(np.int64))
+
+
+def _components(raw: dict, part: str, key: str, parse) -> tuple:
+    """(weight, parsed object) per entry of the mixture list raw[part]."""
+    return tuple(
+        (float(_require(c, "weight", f"{part}[{i}]")), parse(_require(c, key, f"{part}[{i}]"), f"{part}[{i}].{key}"))
+        for i, c in enumerate(_require(raw, part, "mixture"))
+    )
 
 
 def load_spec(path) -> dict:
@@ -124,8 +144,9 @@ def load_spec(path) -> dict:
     if kind == "system":
         out["state"] = parse_pmf(_require(raw, "state_pmf", "system"), "state_pmf")
         out["channel"] = parse_channel(_require(raw, "channel", "system"), "channel")
+        _check_states("state_pmf", out["state"].size, out["channel"], "channel")
         if "policy" in raw:
-            out["policy"] = parse_policy(raw["policy"], "policy")
+            out["policy"] = parse_policy(raw["policy"], "policy", out["channel"], "channel")
         if "side_information" in raw:
             out["side_information"] = raw["side_information"]
         for key in ("gamma1", "gamma2", "rate", "rate_scale"):
@@ -137,22 +158,19 @@ def load_spec(path) -> dict:
             if key in raw:
                 out[key] = _alphabet_size(raw, key)
     elif kind == "mixture":
-        chans = _require(raw, "channel_mixture", "mixture")
-        states = _require(raw, "state_mixture", "mixture")
-        out["mixture"] = MixtureSpec(
-            channel_components=tuple(
-                (float(_require(c, "weight", f"channel_mixture[{i}]")),
-                 parse_channel(_require(c, "channel", f"channel_mixture[{i}]"), f"channel_mixture[{i}].channel"))
-                for i, c in enumerate(chans)
-            ),
-            state_components=tuple(
-                (float(_require(c, "weight", f"state_mixture[{i}]")),
-                 parse_pmf(_require(c, "state_pmf", f"state_mixture[{i}]"), f"state_mixture[{i}].state_pmf"))
-                for i, c in enumerate(states)
-            ),
-        )
+        chans = _components(raw, "channel_mixture", "channel", parse_channel)
+        states = _components(raw, "state_mixture", "state_pmf", parse_pmf)
+        if not chans:
+            raise SpecError("channel_mixture: needs at least one component")
+        first, first_key = chans[0][1], "channel_mixture[0].channel"
+        for i, (_, ch) in enumerate(chans):
+            if ch.w.shape != first.w.shape:
+                raise SpecError(f"channel_mixture[{i}].channel: shape {list(ch.w.shape)} differs from {first_key}'s")
+        for i, (_, q) in enumerate(states):
+            _check_states(f"state_mixture[{i}].state_pmf", q.size, first, first_key)
+        out["mixture"] = MixtureSpec(channel_components=chans, state_components=states)
         if "policy" in raw:
-            out["policy"] = parse_policy(raw["policy"], "policy")
+            out["policy"] = parse_policy(raw["policy"], "policy", first, first_key)
         if "u_size" in raw:
             out["u_size"] = _alphabet_size(raw, "u_size")
     elif kind == "j-structured":
@@ -160,6 +178,10 @@ def load_spec(path) -> dict:
         states = _require(raw, "states", "j-structured")
         out["channels"] = {k: parse_channel(v, f"channels.{k}") for k, v in chans.items()}
         out["states"] = {k: parse_pmf(v, f"states.{k}").probs for k, v in states.items()}
+        # odd slots pair channels a and b with state a, even slots channel c with state b
+        for ck, sk in (("a", "a"), ("b", "a"), ("c", "b")):
+            if ck in out["channels"] and sk in out["states"]:
+                _check_states(f"states.{sk}", out["states"][sk].size, out["channels"][ck], f"channels.{ck}")
         if "n_max" in raw:
             out["n_max"] = _finite_number(raw["n_max"], "n_max")
         if "u_size" in raw:

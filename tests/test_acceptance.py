@@ -164,19 +164,21 @@ def test_acceptance_6_mixed_spectrum():
 
 @pytest.mark.slow
 def test_acceptance_7_region_endpoints():
+    asymmetric = ChannelKernel(np.stack([bsc_matrix(0.05), bsc_matrix(0.4)]))
+    # R_d = 0 references: the exact GP capacity of the two BSC(0.1) systems
+    # (the encoder cancels a state flip), a numeric solve for the third
     systems = {
-        "state-flip": state_flip_bsc(0.1),
-        "state-blind": state_blind_bsc(0.1),
-        "asymmetric": ChannelKernel(np.stack([bsc_matrix(0.05), bsc_matrix(0.4)])),
+        "state-flip": (state_flip_bsc(0.1), bin_capacity(0.1)),
+        "state-blind": (state_blind_bsc(0.1), bin_capacity(0.1)),
+        "asymmetric": (asymmetric, gp_capacity_dm(asymmetric, UNIFORM, seed=0).value),
     }
-    for name, channel in systems.items():
+    for name, (channel, gp) in systems.items():
         pts = region_frontier(
             channel, UNIFORM, v_size=3, u_size=4,
             rd_grid=[0.0, 0.5 * math.log(2), math.log(2)], restarts=4, seed=0,
         )
         rs = [pt.r for pt in pts]
         assert rs == sorted(rs), name
-        gp = gp_capacity_dm(channel, UNIFORM, seed=0).value
         both = state_at_both_capacity(channel, UNIFORM).value
         assert abs(pts[0].r - gp) <= 2e-3, (name, pts[0].r, gp)
         assert abs(pts[-1].r - both) <= 2e-3, (name, pts[-1].r, both)

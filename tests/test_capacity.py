@@ -46,6 +46,25 @@ class TestBlahutArimoto:
         res = no_state_capacity(bsc_matrix(0.1))
         assert res.value == pytest.approx(bin_capacity(0.1), abs=1e-9)
 
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5])
+    def test_upper_bound_bsc_closed_form(self, p):
+        res = no_state_capacity(bsc_matrix(p))
+        assert res.diagnostics["upper_bound"] == pytest.approx(bin_capacity(p), abs=1e-9)
+
+    def test_upper_bound_above_value_on_random_channels(self):
+        rng = stream(0, 21)
+        for _ in range(100):
+            n_x, n_y = rng.integers(1, 6, size=2)
+            w = rng.dirichlet(np.ones(n_y), size=n_x)
+            w[rng.random(w.shape) < 0.2] = 0.0  # zero entries, rows kept non-empty
+            w[:, 0] += w.sum(axis=1) == 0
+            w /= w.sum(axis=1, keepdims=True)
+            res = no_state_capacity(w)
+            bound = res.diagnostics["upper_bound"]
+            assert res.value <= bound + 1e-12
+            # informative, not just log|Y|: BA stops within 1e-4 of it here
+            assert bound - res.value < 1e-4
+
 
 class TestGPCapacity:
     def test_pure_noise_zero(self, uniform_state):
@@ -253,6 +272,13 @@ class TestStateAtBoth:
     def test_state_blind_equals_no_state(self, uniform_state):
         res = state_at_both_capacity(state_blind_bsc(0.1), uniform_state)
         assert res.value == pytest.approx(bin_capacity(0.1), abs=1e-9)
+
+    def test_upper_bound_is_state_weighted(self):
+        state = Pmf(np.array([0.25, 0.75]))
+        res = state_at_both_capacity(sym_bsc_kernel(0.1, 0.3), state)
+        want = 0.25 * bin_capacity(0.1) + 0.75 * bin_capacity(0.3)
+        assert res.diagnostics["upper_bound"] == pytest.approx(want, abs=1e-9)
+        assert res.value <= res.diagnostics["upper_bound"] + 1e-12
 
     def test_mixed_clean_and_useless(self, uniform_state):
         ch = sym_bsc_kernel(0.0, 0.5)

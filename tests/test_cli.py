@@ -225,6 +225,59 @@ class TestCapacityCommand:
         assert res.output == "internal error: RuntimeError: solver invariant broken\n"
 
 
+class TestSpecAlphabets:
+    """Sizes that disagree across spec keys exit 2 and name the key."""
+
+    @pytest.mark.parametrize("command", ["capacity", "simulate", "region"])
+    def test_state_pmf_against_channel_states(self, tmp_path, command):
+        spec = write_spec(tmp_path, system_spec(channel=[bsc(0.1)] * 3, rd_grid=[0.0]))
+        res = run([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "state_pmf" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "policy, key",
+        [
+            ({"u_given_s": [[0.5, 0.25, 0.25]] * 2, "g": [[0, 0], [1, 1]]}, "policy.g"),
+            ({"u_given_s": [[0.5, 0.5]] * 3, "g": [[0, 0, 0], [1, 1, 1]]}, "policy.u_given_s"),
+            ({"u_given_s": [[0.5, 0.5]] * 2, "g": [[0, 0], [1, 2]]}, "policy.g"),
+        ],
+    )
+    def test_policy_against_itself_and_channel(self, tmp_path, policy, key):
+        spec = write_spec(tmp_path, system_spec(policy=policy))
+        res = run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", "20", "--trials", "5"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert key in res.output
+
+    @pytest.mark.parametrize(
+        "part, value, key",
+        [
+            ("state_mixture", [{"weight": 1.0, "state_pmf": [0.5, 0.25, 0.25]}], "state_mixture[0].state_pmf"),
+            ("channel_mixture", [{"weight": 0.5, "channel": [bsc(0.05)] * 2},
+                                 {"weight": 0.5, "channel": [bsc(0.25)] * 3}], "channel_mixture[1].channel"),
+        ],
+    )
+    def test_mixture_components_against_first_channel(self, tmp_path, part, value, key):
+        spec = write_spec(tmp_path, dict(mixture_spec(), **{part: value}))
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert key in res.output
+
+    def test_j_structured_state_against_its_channel(self, tmp_path):
+        spec = write_spec(
+            tmp_path,
+            {
+                "kind": "j-structured",
+                "channels": {"a": [bsc(0.05)] * 2, "b": [bsc(0.25)] * 2, "c": [bsc(0.1)] * 2},
+                "states": {"a": [0.5, 0.5], "b": [0.5, 0.25, 0.25]},
+            },
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "states.b" in res.output
+
+
 class TestSpectrumCommand:
     def test_round_trip(self, tmp_path):
         spec = write_spec(tmp_path, mixture_spec())

@@ -6,14 +6,11 @@ from gpchannel.prob import (
     ConditionalPmf,
     DimensionError,
     GPPolicy,
-    JointSystem,
     Pmf,
     ValidationError,
-    compose_joint,
-    conditional,
-    marginal,
+    effective_kernel,
 )
-from gpchannel.coding import sample
+from gpchannel.coding import MemorylessSystem, sample
 from gpchannel.rng import stream
 
 from conftest import identity_policy, state_blind_bsc
@@ -53,8 +50,11 @@ class TestValidation:
             u_given_s=ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]])),
             x_map=np.array([[0, 5], [1, 0]]),
         )
-        with pytest.raises(ValidationError):
-            policy.x_given_us(2)
+        channel = state_blind_bsc(0.1)
+        with pytest.raises(ValidationError, match="outside the channel alphabet"):
+            effective_kernel(channel.w, policy.x_map)
+        with pytest.raises(ValidationError, match="outside the channel alphabet"):
+            MemorylessSystem(Pmf(np.array([0.5, 0.5])), policy, channel).p_suy
         # the stochastic (|U|,|S|,|X|) form is not accepted
         with pytest.raises(ValidationError, match="x_map"):
             GPPolicy(u_given_s=ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]])), x_map=np.full((2, 2, 2), 0.5))
@@ -66,77 +66,84 @@ class TestValidation:
 
 
 class TestComposeJoint:
+    """The single-letter law P(s) P(u|s) W(y|g(u,s),s) held by MemorylessSystem.p_suy."""
+
     def test_one_point_space(self):
         state = Pmf(np.array([1.0]))
         policy = GPPolicy(u_given_s=ConditionalPmf(np.array([[1.0]])), x_map=np.array([[0]]))
         channel = ChannelKernel(np.ones((1, 1, 1)))
-        joint = compose_joint(state, policy, channel)
-        assert joint.joint.shape == (1, 1, 1, 1)
-        assert joint.joint[0, 0, 0, 0] == pytest.approx(1.0)
+        p = MemorylessSystem(state, policy, channel).p_suy
+        assert p.shape == (1, 1, 1)
+        assert p[0, 0, 0] == pytest.approx(1.0)
 
     def test_uniform_identity_channel(self, uniform_state):
-        policy = identity_policy()
         eye = ChannelKernel(np.stack([np.eye(2), np.eye(2)]))
-        joint = compose_joint(uniform_state, policy, eye)
-        # mass 1/4 exactly on (s, u, x=u, y=x) tuples
+        p = MemorylessSystem(uniform_state, identity_policy(), eye).p_suy
+        # mass 1/4 exactly on (s, u, y = x = u) triples
         for s in range(2):
             for u in range(2):
-                assert joint.joint[s, u, u, u] == pytest.approx(0.25)
-        assert joint.joint.sum() == pytest.approx(1.0)
+                assert p[s, u, u] == pytest.approx(0.25)
+        assert p.sum() == pytest.approx(1.0)
 
     def test_state_marginal_roundtrip_random(self):
         rng = stream(0, 1)
         for trial in range(100):
             q = rng.dirichlet(np.ones(3))
-            state = Pmf(q)
             rows = rng.dirichlet(np.ones(4), size=3)
             policy = GPPolicy(
                 u_given_s=ConditionalPmf(rows),
                 x_map=rng.integers(0, 2, size=(4, 3)),
             )
             w = rng.dirichlet(np.ones(2), size=(3, 2))
-            joint = compose_joint(state, policy, ChannelKernel(w))
-            np.testing.assert_allclose(marginal(joint, "s"), q, atol=1e-12)
+            p = MemorylessSystem(Pmf(q), policy, ChannelKernel(w)).p_suy
+            np.testing.assert_allclose(p.sum(axis=(1, 2)), q, atol=1e-12)
 
     def test_markov_structure(self, uniform_state):
-        # P(y | s, u, x) must equal W(y | x, s) wherever P(s,u,x) > 0
-        channel = state_blind_bsc(0.3)
-        joint = compose_joint(uniform_state, identity_policy(), channel)
-        p = joint.joint
-        p_sux = p.sum(axis=3)
-        for s, u, x in np.argwhere(p_sux > 0):
-            cond = p[s, u, x] / p_sux[s, u, x]
-            np.testing.assert_allclose(cond, channel.w[s, x], atol=1e-12)
+        # P(y | s, u) = W(y | g(u, s), s) wherever P(s, u) > 0
+        channel = ChannelKernel(np.stack([[[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.4, 0.6]]]))
+        policy = GPPolicy(
+            u_given_s=ConditionalPmf(np.array([[0.3, 0.7, 0.0], [0.6, 0.1, 0.3]])),
+            x_map=np.array([[0, 1], [1, 1], [1, 0]]),
+        )
+        p = MemorylessSystem(uniform_state, policy, channel).p_suy
+        p_su = p.sum(axis=2)
+        for s, u in np.argwhere(p_su > 0):
+            np.testing.assert_allclose(p[s, u] / p_su[s, u], channel.w[s, policy.x_map[u, s]], atol=1e-12)
+        np.testing.assert_array_equal(p[0, 2], 0.0)
 
     def test_dimension_mismatch(self, uniform_state):
-        policy = identity_policy()
         channel = ChannelKernel(np.ones((3, 2, 1)))
         with pytest.raises(DimensionError):
-            compose_joint(uniform_state, policy, channel)
+            MemorylessSystem(uniform_state, identity_policy(), channel)
+        with pytest.raises(DimensionError):
+            effective_kernel(channel.w, identity_policy().x_map)
 
 
 class TestMarginalConditional:
     def test_total_marginal_is_one(self, uniform_state):
-        joint = compose_joint(uniform_state, identity_policy(), state_blind_bsc(0.1))
-        assert marginal(joint, "suxy").sum() == pytest.approx(1.0)
+        system = MemorylessSystem(uniform_state, identity_policy(), state_blind_bsc(0.1))
+        assert system.p_suy.sum() == pytest.approx(1.0)
+        assert system.p_uy.sum() == pytest.approx(1.0)
+        assert system.p_us.sum() == pytest.approx(1.0)
 
     def test_sum_order_irrelevant(self):
         rng = stream(1, 2)
-        p = rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
-        joint = JointSystem(p)
-        py1 = p.sum(axis=(0, 1, 2))
-        py2 = p.sum(axis=2).sum(axis=1).sum(axis=0)
-        np.testing.assert_allclose(marginal(joint, "y"), py1, atol=1e-14)
-        np.testing.assert_allclose(py1, py2, atol=1e-14)
+        policy = GPPolicy(u_given_s=ConditionalPmf(rng.dirichlet(np.ones(3), size=2)), x_map=rng.integers(0, 2, (3, 2)))
+        channel = ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))
+        system = MemorylessSystem(Pmf(rng.dirichlet(np.ones(2))), policy, channel)
+        p = system.p_suy
+        np.testing.assert_allclose(system.p_y, p.sum(axis=(0, 1)), atol=1e-14)
+        np.testing.assert_allclose(system.p_y, p.sum(axis=1).sum(axis=0), atol=1e-14)
+        np.testing.assert_allclose(system.p_us, p.sum(axis=2).T, atol=1e-14)
 
-    def test_zero_mass_condition_flagged(self):
-        p = np.zeros((2, 2, 1, 1))
-        p[0, 0] = 0.6
-        p[0, 1] = 0.4
-        cond = conditional(JointSystem(p), "u", "s")
-        assert cond.row_defined[0]
-        assert not cond.row_defined[1]
-        np.testing.assert_array_equal(cond.rows[1], 0.0)
+    def test_zero_mass_condition_flagged(self, uniform_state):
+        # u = 0 always sends x = 0 on a noiseless channel, so y = 1 has no
+        # mass: its P(u|y) column is zero-filled, never NaN or uniform
+        rows = ConditionalPmf(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        policy = GPPolicy(u_given_s=rows, x_map=np.array([[0, 0], [1, 1]]))
+        system = MemorylessSystem(uniform_state, policy, state_blind_bsc(0.0))
+        np.testing.assert_array_equal(system.p_y, [1.0, 0.0])
+        np.testing.assert_array_equal(system.p_u_given_y, [[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestSampling:

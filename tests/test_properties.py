@@ -1,8 +1,9 @@
 """Property tests for the primitives every estimator shares: the
 counts-times-log-table block score, the explicit decoder's type-count
 scores built on it, the inverse-CDF sampler, the GP optimizer's
-enumeration of input maps up to relabelling, and the region solver's
-penalised objective and its gradient."""
+enumeration of input maps up to relabelling, the effective channel of
+an input map, and the region solver's penalised objective and its
+gradient."""
 
 import math
 from unittest import mock
@@ -16,6 +17,7 @@ from gpchannel import kernels
 from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
 from gpchannel.coding import sample
 from gpchannel.info import counts_scores
+from gpchannel.prob import effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
 
 from conftest import full_product_maps
@@ -164,6 +166,27 @@ def test_random_starts_are_kept_and_only_relabelled(sizes, seed):
         # the same (row, column of v) pairs, stably sorted by row
         pairs_in = sorted(zip(map(tuple, g_in.tolist()), map(tuple, v_in.T.tolist())), key=lambda p: p[0])
         assert list(zip(map(tuple, g_out.tolist()), map(tuple, v_out.T.tolist()))) == pairs_in
+
+
+@st.composite
+def kernel_and_maps(draw):
+    """(w[s, x, y], a (B, U, S) batch of maps) with every alphabet at most 4."""
+    n_s, n_x, n_y, n_u = (draw(st.integers(1, 4)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = rng.integers(0, n_x, size=(draw(st.integers(1, 5)), n_u, n_s))
+    return rng.dirichlet(np.ones(n_y), size=(n_s, n_x)), maps
+
+
+@settings(deadline=None)
+@given(kernel_and_maps())
+def test_effective_kernel_batch_matches_per_map_and_loop(case):
+    w, maps = case
+    batch = effective_kernel(w, maps)
+    assert batch.shape == maps.shape + (w.shape[2],)
+    for g, wg in zip(maps, batch):
+        np.testing.assert_array_equal(effective_kernel(w, g), wg)
+        for u, s in np.ndindex(g.shape):
+            np.testing.assert_array_equal(wg[u, s], w[s, g[u, s]])
 
 
 @st.composite

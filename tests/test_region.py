@@ -94,16 +94,16 @@ class TestFrontier:
         with pytest.raises(ValidationError, match=key):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0], **{key: 0})
 
-    @pytest.mark.slow
     def test_endpoints_state_flip(self, uniform_state):
         channel = state_flip_bsc(0.1)
         pts = region_frontier(
             channel, uniform_state, v_size=3, u_size=4,
             rd_grid=[0.0, math.log(2)], restarts=2, seed=0,
         )
-        gp = gp_capacity_dm(channel, uniform_state, seed=0)
+        # the encoder cancels the flip, so even at R_d = 0 the optimum is the
+        # exact BSC capacity, which no solve exceeds
         both = state_at_both_capacity(channel, uniform_state).value
-        assert pts[0].r >= gp.value - 2e-3
+        assert pts[0].r >= bin_capacity(0.1) - 2e-3
         assert pts[-1].r >= both - 2e-3
         for pt in pts:
             assert region_membership(pt, channel, uniform_state)
