@@ -55,8 +55,11 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
-def _header_lines(seed: int, spec_path) -> list[str]:
-    return [
+def _output(out_dir, seed: int, spec_path) -> tuple[Path, list[str]]:
+    """The created output directory and the header every artifact starts with."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, [
         f"# gpchannel {_tool_version()}",
         f"# seed={seed}",
         f"# spec_digest={_digest(spec_path)}",
@@ -76,34 +79,31 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _load(spec_path):
-    try:
-        return load_spec(spec_path)
-    except (SpecError, ValidationError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-
-def _policy_lines(policy) -> list[str]:
-    lines = ["policy.u_given_s:"]
-    lines += [f"  {np.array2string(row, precision=9)}" for row in policy.u_given_s.rows]
+def _capacity_lines(res, kind_line: str) -> list[str]:
+    """value, kind line, sorted diagnostics and policy of a capacity result."""
+    lines = [f"value_nats={res.value:.12g}", kind_line]
+    lines += [f"diagnostics.{k}={v}" for k, v in sorted(res.diagnostics.items())]
+    lines.append("policy.u_given_s:")
+    lines += [f"  {np.array2string(row, precision=9)}" for row in res.policy.u_given_s.rows]
     lines.append("policy.g:")
-    lines.append(f"  {np.array2string(np.asarray(policy.x_map))}")
+    lines.append(f"  {np.array2string(np.asarray(res.policy.x_map))}")
     return lines
 
 
 class _Main(click.Group):
-    """Maps an unexpected exception in a subcommand to EXIT_INTERNAL."""
+    """Maps the exceptions a subcommand raises to the documented exit codes."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except (SpecError, ValidationError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
+        except (BudgetError, SampleBudgetError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_BUDGET)
         except Exception as exc:  # a broken invariant: one line on stderr, not a traceback
             click.echo(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", err=True)
             sys.exit(EXIT_INTERNAL)
@@ -134,55 +134,42 @@ def common_options(fn):
 @click.option("--restarts", default=20, show_default=True, type=click.IntRange(min=1))
 def capacity(spec_path, out_dir, seed, workers, restarts):
     """Single-letter capacities for a system, mixture, or structured sequence."""
-    spec = _load(spec_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(seed, spec_path)
-    lines: list[str] = []
-    try:
-        if spec["kind"] == "system":
-            side = spec.get("side_information", "encoder")
-            u_size = spec.get("u_size")
-            if side == "none":
-                if spec["channel"].n_states != 1:
-                    _fail(EXIT_VALIDATION, "side_information=none requires a stateless (|S|=1) channel")
-                res = no_state_capacity(spec["channel"])
-            elif side == "both":
-                res = state_at_both_capacity(spec["channel"], spec["state"])
-            elif side == "encoder":
-                res = gp_capacity_dm(spec["channel"], spec["state"], u_size=u_size, restarts=restarts, seed=seed)
-            else:
-                _fail(EXIT_VALIDATION, f"unknown side_information {side!r}")
-            lines.append(f"value_nats={res.value:.12g}")
-            lines.append(f"side_information={side}")
-            for k, v in sorted(res.diagnostics.items()):
-                lines.append(f"diagnostics.{k}={v}")
-            lines += _policy_lines(res.policy)
-        elif spec["kind"] == "mixture":
-            res = maximize_mixed_lower_bound(spec["mixture"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
-            lines.append(f"value_nats={res.value:.12g}")
-            lines.append("bound=lower")
-            for k, v in sorted(res.diagnostics.items()):
-                lines.append(f"diagnostics.{k}={v}")
-            lines += _policy_lines(res.policy)
-        elif spec["kind"] == "j-structured":
-            n_max = int(spec.get("n_max", 2**16))
-            seq = SequenceSpec(kind="j-structured", channels=spec["channels"], states=spec["states"])
-            require_interleaved_form(seq.channels["a"], seq.channels["b"], ("channels.a", "channels.b"))
-            kw = {"u_size": spec.get("u_size"), "restarts": restarts, "seed": seed}
-            result = cesaro_capacity(seq, n_max, solver_kwargs=kw)
-            lines.append(f"liminf_estimate_nats={result['liminf_estimate']:.12g}")
-            lines.append(f"analytic_value_nats={result['analytic_value']:.12g}")
+    spec = load_spec(spec_path)
+    out, header = _output(out_dir, seed, spec_path)
+    if spec["kind"] == "system":
+        side = spec.get("side_information", "encoder")
+        if side == "none":
+            if spec["channel"].n_states != 1:
+                raise SpecError("side_information=none requires a stateless (|S|=1) channel")
+            res = no_state_capacity(spec["channel"])
+        elif side == "both":
+            res = state_at_both_capacity(spec["channel"], spec["state"])
+        elif side == "encoder":
+            res = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
+        else:
+            raise SpecError(f"unknown side_information {side!r}")
+        lines = _capacity_lines(res, f"side_information={side}")
+    elif spec["kind"] == "mixture":
+        res = maximize_mixed_lower_bound(spec["mixture"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
+        lines = _capacity_lines(res, "bound=lower")
+    else:  # j-structured
+        n_max = int(spec.get("n_max", 2**16))
+        seq = SequenceSpec(kind="j-structured", channels=spec["channels"], states=spec["states"])
+        require_interleaved_form(seq.channels["a"], seq.channels["b"], ("channels.a", "channels.b"))
+        kw = {"u_size": spec.get("u_size"), "restarts": restarts, "seed": seed}
+        result = cesaro_capacity(seq, n_max, solver_kwargs=kw)
+        lines = [
+            f"liminf_estimate_nats={result['liminf_estimate']:.12g}",
+            f"analytic_value_nats={result['analytic_value']:.12g}",
             # the closed form (interleaved_capacity) blends the same three
             # constituent capacities the Cesaro path solved, in the same order
-            lines.append(f"closed_form_nats={result['analytic_value']:.12g}")
-            partial = result["partial_averages"]
-            _write_csv(
-                out / "partial_averages.csv", header, ["n", "average_nats"],
-                ((i + 1, f"{v:.12g}") for i, v in enumerate(partial)),
-            )
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+            f"closed_form_nats={result['analytic_value']:.12g}",
+        ]
+        partial = result["partial_averages"]
+        _write_csv(
+            out / "partial_averages.csv", header, ["n", "average_nats"],
+            ((i + 1, f"{v:.12g}") for i, v in enumerate(partial)),
+        )
     _write_text(out / "capacity.txt", header, lines)
     click.echo(f"wrote {out / 'capacity.txt'}")
 
@@ -190,30 +177,20 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
 @main.command()
 @common_options
 @click.option("--n", default=2000, show_default=True, type=int)
-@click.option("--draws", default=10_000, show_default=True, type=int)
-@click.option("--delta", default=DEFAULT_DELTA, show_default=True, type=float)
+@click.option("--draws", default=10_000, show_default=True, type=click.IntRange(min=1))
+@click.option("--delta", default=DEFAULT_DELTA, show_default=True,
+              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
 def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
     """Information-density histogram and spectral quantile summary."""
-    spec = _load(spec_path)
+    spec = load_spec(spec_path)
     if spec["kind"] != "mixture":
-        _fail(EXIT_VALIDATION, "spectrum requires a mixture spec (a single system is a 1-component mixture)")
+        raise SpecError("spectrum requires a mixture spec (a single system is a 1-component mixture)")
     if "policy" not in spec:
-        _fail(EXIT_VALIDATION, "spectrum requires a policy in the spec")
-    if draws < 1:
-        _fail(EXIT_VALIDATION, "draws must be positive")
-    if not 0.0 < delta < 1.0:
-        _fail(EXIT_VALIDATION, f"--delta must lie in (0, 1), got {delta}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(seed, spec_path)
-    try:
-        samples = mixture_spectrum_demo(spec["mixture"], spec["policy"], n=n, draws=draws, seed=seed)
-        inf_est = spectral_rate_estimate(samples, "inf", delta)
-        sup_est = spectral_rate_estimate(samples, "sup", delta)
-    except SampleBudgetError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        raise SpecError("spectrum requires a policy in the spec")
+    out, header = _output(out_dir, seed, spec_path)
+    samples = mixture_spectrum_demo(spec["mixture"], spec["policy"], n=n, draws=draws, seed=seed)
+    inf_est = spectral_rate_estimate(samples, "inf", delta)
+    sup_est = spectral_rate_estimate(samples, "sup", delta)
     lo = np.floor(samples.samples.min() / HIST_BIN_NATS) * HIST_BIN_NATS
     hi = np.ceil(samples.samples.max() / HIST_BIN_NATS) * HIST_BIN_NATS + HIST_BIN_NATS
     edges = np.arange(lo, hi + HIST_BIN_NATS / 2, HIST_BIN_NATS)
@@ -242,31 +219,24 @@ def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
 @click.option("--mode", default="auto", show_default=True, type=click.Choice(["auto", "explicit", "implicit"]))
 def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
     """Random-coding trials with the rho_n bound decomposition."""
-    spec = _load(spec_path)
+    spec = load_spec(spec_path)
     if spec["kind"] != "system":
-        _fail(EXIT_VALIDATION, "simulate requires a system spec")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(seed, spec_path)
-    try:
-        if "policy" in spec:
-            policy = spec["policy"]
-        else:
-            policy = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), seed=seed).policy
-        system = MemorylessSystem(spec["state"], policy, spec["channel"])
-        gamma1 = float(spec.get("gamma1", 0.02))
-        gamma2 = float(spec.get("gamma2", 0.02))
-        rate = spec.get("rate")
-        if rate is None and "rate_scale" in spec:
-            rate = float(spec["rate_scale"]) * (system.i_uy - system.i_us)
-        experiment = design_experiment(
-            system, n, gamma1, gamma2, rate=rate, seed=seed, trials=trials
-        )
-        report = run_experiment(system, experiment, mode=mode, pi_draws=draws)
-    except BudgetError as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        raise SpecError("simulate requires a system spec")
+    out, header = _output(out_dir, seed, spec_path)
+    if "policy" in spec:
+        policy = spec["policy"]
+    else:
+        policy = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), seed=seed).policy
+    system = MemorylessSystem(spec["state"], policy, spec["channel"])
+    gamma1 = float(spec.get("gamma1", 0.02))
+    gamma2 = float(spec.get("gamma2", 0.02))
+    rate = spec.get("rate")
+    if rate is None and "rate_scale" in spec:
+        rate = float(spec["rate_scale"]) * (system.i_uy - system.i_us)
+    experiment = design_experiment(
+        system, n, gamma1, gamma2, rate=rate, seed=seed, trials=trials
+    )
+    report = run_experiment(system, experiment, mode=mode, pi_draws=draws)
     _write_csv(out / "trials.csv", header, TRIAL_COLUMNS, (r.csv_row() for r in report.trials))
     rates = report.event_rates()
     lines = [
@@ -299,24 +269,19 @@ def _bern_sigma(p: float, n: int) -> float:
 @click.option("--grid-points", default=9, show_default=True, type=click.IntRange(min=1))
 def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_points):
     """(R, R_d) frontier for a rate-limited state description at the decoder."""
-    spec = _load(spec_path)
+    spec = load_spec(spec_path)
     if spec["kind"] != "system":
-        _fail(EXIT_VALIDATION, "region requires a system spec")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(seed, spec_path)
+        raise SpecError("region requires a system spec")
+    out, header = _output(out_dir, seed, spec_path)
     rd_grid = spec.get("rd_grid")
     if rd_grid is None:
         rd_grid = np.linspace(0.0, math.log(max(spec["channel"].n_states, 2)), grid_points)
-    try:
-        points = region_frontier(
-            spec["channel"], spec["state"],
-            v_size=spec.get("v_size") if v_size is None else v_size,
-            u_size=spec.get("u_size") if u_size is None else u_size,
-            rd_grid=np.asarray(rd_grid, dtype=np.float64), restarts=restarts, seed=seed,
-        )
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    points = region_frontier(
+        spec["channel"], spec["state"],
+        v_size=spec.get("v_size") if v_size is None else v_size,
+        u_size=spec.get("u_size") if u_size is None else u_size,
+        rd_grid=np.asarray(rd_grid, dtype=np.float64), restarts=restarts, seed=seed,
+    )
     _write_csv(
         out / "frontier.csv", header, ["r_d_nats", "r_nats"],
         ((f"{p.r_d:.12g}", f"{p.r:.12g}") for p in points),

@@ -333,16 +333,22 @@ class Codebook:
         return lo, lo + self.subcodebook_size
 
 
-def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
+def _explicit_refusal(experiment: CodingExperiment) -> str | None:
+    """Why an explicit codebook for the experiment exceeds the caps, or None if it fits."""
     total = experiment.message_count * experiment.subcodebook_size
-    if total > CODEWORD_CAP:
-        raise BudgetError(
-            f"codebook of {total} codewords exceeds the {CODEWORD_CAP} cap; reduce n or rates"
-        )
-    if total * experiment.n > WORK_CAP:
-        raise BudgetError(
-            f"decode work {total * experiment.n} exceeds the {WORK_CAP} cap; reduce n or rates"
-        )
+    if total <= CODEWORD_CAP and total * experiment.n <= WORK_CAP:
+        return None
+    return (
+        f"explicit mode needs {total} codewords / {total * experiment.n} work; caps are "
+        f"{CODEWORD_CAP} / {WORK_CAP} — reduce n or rates"
+    )
+
+
+def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
+    refusal = _explicit_refusal(experiment)
+    if refusal:
+        raise BudgetError(refusal)
+    total = experiment.message_count * experiment.subcodebook_size
     p_u = np.asarray(p_u, dtype=np.float64)
     rng = stream(experiment.seed, 0xB00C)
     words = np.empty((total, experiment.n), dtype=np.min_scalar_type(p_u.size - 1))
@@ -618,15 +624,11 @@ def run_experiment(
     if thresholds is None:
         thresholds = default_thresholds(system, experiment.gamma1, experiment.gamma2)
     pi = estimate_pi(system, experiment.n, pi_draws, thresholds, seed=experiment.seed)
-    total = experiment.message_count * experiment.subcodebook_size
-    explicit_ok = total <= CODEWORD_CAP and total * experiment.n <= WORK_CAP
+    refusal = _explicit_refusal(experiment)
     if mode == "auto":
-        mode = "explicit" if explicit_ok else "implicit"
-    if mode == "explicit" and not explicit_ok:
-        raise BudgetError(
-            f"explicit mode needs {total} codewords / {total * experiment.n} work; caps are "
-            f"{CODEWORD_CAP} / {WORK_CAP} — reduce n or rates, or use implicit mode"
-        )
+        mode = "implicit" if refusal else "explicit"
+    if mode == "explicit" and refusal:
+        raise BudgetError(f"{refusal}, or use implicit mode")
     if mode == "explicit":
         records = _run_explicit(system, experiment, thresholds, pi, inner_draws)
     elif mode == "implicit":

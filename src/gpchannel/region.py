@@ -8,7 +8,7 @@ the pairs (R, R_d) with
     R   <= I(U;Y|V) - I(U;S|V)    (message rate given the description)
 
 over auxiliary laws P(v|s), P(u|v,s) and deterministic maps
-x = g(u,v,s). The frontier solver sweeps a penalty on the description
+x = g(u,v,s). The frontier solver puts an exact penalty on the description
 constraint because the constraint set is nonconvex, then re-checks
 feasibility exactly and anchors the endpoints with two closed-form
 candidate policies (degenerate V at R_d = 0; V = S at large R_d).
@@ -107,10 +107,9 @@ def _degenerate_v_candidate(
 
 def _full_description_candidate(channel: ChannelKernel, state: Pmf, v_size: int, u_size: int) -> RegionPolicy:
     """V = S delivered to the decoder; per-state optimal inputs give the
-    two-sided capacity once R_d covers the description cost."""
+    two-sided capacity once R_d covers the description cost. Needs
+    v_size >= |S| and u_size >= |X|."""
     n_s, n_x = channel.n_states, channel.n_inputs
-    if v_size < n_s or u_size < n_x:
-        raise ValidationError("v_size < |S| or u_size < |X| cannot express the full-description candidate")
     v_rows = np.zeros((n_s, v_size))
     v_rows[np.arange(n_s), np.arange(n_s)] = 1.0
     u_rows = np.zeros((v_size, n_s, u_size))
@@ -123,7 +122,13 @@ def _full_description_candidate(channel: ChannelKernel, state: Pmf, v_size: int,
 
 
 # ---------------------------------------------------------------------------
-# penalty-sweep optimizer
+# penalty optimizer
+
+# The hinge penalty mu * max(cost - r_d, 0) is exact for any mu > 1 when the
+# alphabets are not restricted: revealing V with probability lam and merging
+# it into U otherwise trades description cost for message rate at exactly
+# 1 nat per nat, so the frontier's slope never exceeds 1.
+PENALTY_MU = 2.0
 
 
 def _unpack(theta, n_s, v_size, u_size, n_x):
@@ -181,15 +186,12 @@ def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
     rng = stream(seed, 0x8E61, int(round(r_d * 1e6)))
     best = None
     for restart in range(restarts):
-        theta0 = rng.normal(scale=1.5, size=dim)
-        theta = theta0
-        for mu in (2.0, 20.0, 200.0):
-            res = minimize(
-                _penalty_value_and_grad, theta, args=(channel.w, state.probs, v_size, u_size, mu, r_d),
-                jac=True, method="L-BFGS-B", options={"maxiter": 120},
-            )
-            theta = res.x
-        pv, pu, px = _unpack(theta, n_s, v_size, u_size, n_x)
+        res = minimize(
+            _penalty_value_and_grad, rng.normal(scale=1.5, size=dim),
+            args=(channel.w, state.probs, v_size, u_size, PENALTY_MU, r_d),
+            jac=True, method="L-BFGS-B", options={"maxiter": 120},
+        )
+        pv, pu, px = _unpack(res.x, n_s, v_size, u_size, n_x)
         g = px.argmax(axis=-1).astype(np.int64)
         policy = RegionPolicy(v_given_s=pv, u_given_vs=pu, x_map=g)
         rates = _rates(policy, channel, state)
@@ -233,28 +235,21 @@ def region_frontier(
     if (rd_grid < 0).any():
         raise ValidationError("description-rate budgets must be non-negative")
 
-    candidates = [_degenerate_v_candidate(channel, state, v_size, u_size, restarts, seed)]
-    try:
-        candidates.append(_full_description_candidate(channel, state, v_size, u_size))
-    except ValidationError:
-        pass
+    anchors = [_degenerate_v_candidate(channel, state, v_size, u_size, restarts, seed)]
+    if v_size >= channel.n_states and u_size >= channel.n_inputs:
+        anchors.append(_full_description_candidate(channel, state, v_size, u_size))
+    anchor_rates = [(_rates(pol, channel, state), pol) for pol in anchors]
 
     points: list[RegionPoint] = []
     best_so_far: tuple[float, RegionPolicy] | None = None
     for r_d in rd_grid:
-        pool: list[tuple[float, RegionPolicy]] = []
-        for pol in candidates:
-            rates = _rates(pol, channel, state)
-            if rates["description_rate"] <= r_d + 1e-9:
-                pool.append((rates["message_rate"], pol))
+        # the degenerate-V anchor costs 0, so the pool is never empty on the non-negative grid
+        pool = [(rates["message_rate"], pol) for rates, pol in anchor_rates if rates["description_rate"] <= r_d + 1e-9]
         opt = _optimize_grid_point(channel, state, v_size, u_size, float(r_d), restarts, seed)
         if opt is not None:
             pool.append(opt)
         if best_so_far is not None:
             pool.append(best_so_far)
-        if not pool:
-            # R_d = 0 always admits the trivial zero-rate policy
-            pool.append((0.0, candidates[0]))
         rate, pol = max(pool, key=lambda t: t[0])
         best_so_far = (rate, pol)
         points.append(

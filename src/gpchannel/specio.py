@@ -6,10 +6,10 @@ offending key named; rows off by at most 1e-9 are renormalized. Alphabet
 sizes must agree across keys (state laws and policies against their
 channel, mixture channels against the first), or the key is named too.
 
-kinds:
+kinds (each takes an optional "u_size"):
   system        — "state_pmf", "channel" [s][x][y], optional "policy"
                   ({"u_given_s": rows, "g": [u][s]}), optional scalars
-                  ("u_size", "gamma1", "gamma2", "rate", "rate_scale",
+                  ("gamma1", "gamma2", "rate", "rate_scale",
                   "side_information": encoder|both|none), and for
                   region "v_size" and "rd_grid" (non-negative numbers)
   mixture       — "channel_mixture": [{"weight", "channel"}],
@@ -37,26 +37,16 @@ class SpecError(ValueError):
     """Malformed spec file; the message names the offending key."""
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{key}: must be a JSON object")
+    return value
+
+
 def _require(obj: dict, key: str, context: str):
-    if key not in obj:
+    if key not in _object(obj, context):
         raise SpecError(f"{context}: missing key {key!r}")
     return obj[key]
-
-
-def _normalize_rows(arr: np.ndarray, context: str) -> np.ndarray:
-    """Validate the trailing axis as pmf rows, renormalizing tiny drift."""
-    if not np.isfinite(arr).all():
-        raise SpecError(f"{context}: non-finite probability entry")
-    if (arr < 0).any():
-        raise SpecError(f"{context}: negative probability entry")
-    sums = arr.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > ROW_TOL:
-        bad = np.unravel_index(int(np.abs(sums - 1.0).argmax()), sums.shape) if sums.ndim else ()
-        raise SpecError(
-            f"{context}: row {bad} sums to {sums.max() if sums.ndim == 0 else sums[bad]:.12g}, "
-            f"off by more than {ROW_TOL:g}"
-        )
-    return arr / sums[..., None]
 
 
 def _alphabet_size(raw: dict, key: str) -> int:
@@ -80,24 +70,41 @@ def _rd_grid(grid) -> list:
     return grid
 
 
-def parse_pmf(obj, context: str) -> Pmf:
+def _array(obj, context: str, ndim: int, form: str, kinds: str) -> np.ndarray:
+    """obj as an ndim-deep array whose dtype kind is one of kinds."""
     try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{context}: not a numeric vector ({exc})") from exc
-    if arr.ndim != 1:
-        raise SpecError(f"{context}: pmf must be a flat vector")
-    return Pmf(_normalize_rows(arr, context))
+        arr = np.asarray(obj)
+    except ValueError as exc:  # a ragged list
+        raise SpecError(f"{context}: must be {form}") from exc
+    if arr.ndim != ndim or arr.dtype.kind not in kinds:
+        raise SpecError(f"{context}: must be {form}")
+    return arr
+
+
+def _rows(obj, context: str, ndim: int, form: str) -> np.ndarray:
+    """obj as an ndim-deep float64 array of pmf rows on its last axis,
+    renormalizing tiny drift; every error names context."""
+    arr = _array(obj, context, ndim, form, "iuf").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise SpecError(f"{context}: non-finite probability entry")
+    if (arr < 0).any():
+        raise SpecError(f"{context}: negative probability entry")
+    sums = arr.sum(axis=-1)
+    if np.abs(sums - 1.0).max() > ROW_TOL:
+        bad = np.unravel_index(int(np.abs(sums - 1.0).argmax()), sums.shape) if sums.ndim else ()
+        raise SpecError(
+            f"{context}: row {bad} sums to {sums.max() if sums.ndim == 0 else sums[bad]:.12g}, "
+            f"off by more than {ROW_TOL:g}"
+        )
+    return arr / sums[..., None]
+
+
+def parse_pmf(obj, context: str) -> Pmf:
+    return Pmf(_rows(obj, context, 1, "a numeric vector"))
 
 
 def parse_channel(obj, context: str) -> ChannelKernel:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{context}: not a numeric array ({exc})") from exc
-    if arr.ndim != 3:
-        raise SpecError(f"{context}: channel must be a 3-deep array [s][x][y]")
-    return ChannelKernel(_normalize_rows(arr, context))
+    return ChannelKernel(_rows(obj, context, 3, "a numeric 3-deep array [s][x][y]"))
 
 
 def _check_states(key: str, size: int, channel: ChannelKernel, channel_key: str) -> None:
@@ -106,26 +113,28 @@ def _check_states(key: str, size: int, channel: ChannelKernel, channel_key: str)
 
 
 def parse_policy(obj: dict, context: str, channel: ChannelKernel, channel_key: str) -> GPPolicy:
-    rows = np.asarray(_require(obj, "u_given_s", context), dtype=np.float64)
-    if rows.ndim != 2:
-        raise SpecError(f"{context}.u_given_s: must be a matrix of rows per state")
+    rows = _rows(_require(obj, "u_given_s", context), f"{context}.u_given_s", 2, "a numeric matrix [s][u]")
     _check_states(f"{context}.u_given_s", rows.shape[0], channel, channel_key)
-    g = np.asarray(_require(obj, "g", context))
-    if g.ndim != 2 or not np.issubdtype(g.dtype, np.integer):
-        raise SpecError(f"{context}.g: must be an integer table [u][s]")
+    g = _array(_require(obj, "g", context), f"{context}.g", 2, "an integer table [u][s]", "iu")
     if g.shape != (rows.shape[1], rows.shape[0]):
         raise SpecError(f"{context}.g: shape {list(g.shape)} is not the [u][s] shape of {context}.u_given_s")
     if g.size and g.max() >= channel.n_inputs:
         raise SpecError(f"{context}.g: input {g.max()} outside the {channel.n_inputs} inputs of {channel_key}")
     # spec rows are per-state; GPPolicy stores them the same way
-    return GPPolicy(u_given_s=ConditionalPmf(_normalize_rows(rows, f"{context}.u_given_s")), x_map=g.astype(np.int64))
+    return GPPolicy(u_given_s=ConditionalPmf(rows), x_map=g.astype(np.int64))
 
 
 def _components(raw: dict, part: str, key: str, parse) -> tuple:
     """(weight, parsed object) per entry of the mixture list raw[part]."""
+    entries = _require(raw, part, "mixture")
+    if not isinstance(entries, list):
+        raise SpecError(f"{part}: must be a list of components")
     return tuple(
-        (float(_require(c, "weight", f"{part}[{i}]")), parse(_require(c, key, f"{part}[{i}]"), f"{part}[{i}].{key}"))
-        for i, c in enumerate(_require(raw, part, "mixture"))
+        (
+            float(_finite_number(_require(c, "weight", f"{part}[{i}]"), f"{part}[{i}].weight")),
+            parse(_require(c, key, f"{part}[{i}]"), f"{part}[{i}].{key}"),
+        )
+        for i, c in enumerate(entries)
     )
 
 
@@ -137,8 +146,6 @@ def load_spec(path) -> dict:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise SpecError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SpecError(f"{path}: top level must be an object")
     kind = _require(raw, "kind", str(path))
     out = {"kind": kind, "raw": raw}
     if kind == "system":
@@ -154,9 +161,8 @@ def load_spec(path) -> dict:
                 out[key] = _finite_number(raw[key], key)
         if "rd_grid" in raw:
             out["rd_grid"] = _rd_grid(raw["rd_grid"])
-        for key in ("u_size", "v_size"):
-            if key in raw:
-                out[key] = _alphabet_size(raw, key)
+        if "v_size" in raw:
+            out["v_size"] = _alphabet_size(raw, "v_size")
     elif kind == "mixture":
         chans = _components(raw, "channel_mixture", "channel", parse_channel)
         states = _components(raw, "state_mixture", "state_pmf", parse_pmf)
@@ -171,11 +177,9 @@ def load_spec(path) -> dict:
         out["mixture"] = MixtureSpec(channel_components=chans, state_components=states)
         if "policy" in raw:
             out["policy"] = parse_policy(raw["policy"], "policy", first, first_key)
-        if "u_size" in raw:
-            out["u_size"] = _alphabet_size(raw, "u_size")
     elif kind == "j-structured":
-        chans = _require(raw, "channels", "j-structured")
-        states = _require(raw, "states", "j-structured")
+        chans = _object(_require(raw, "channels", "j-structured"), "channels")
+        states = _object(_require(raw, "states", "j-structured"), "states")
         out["channels"] = {k: parse_channel(v, f"channels.{k}") for k, v in chans.items()}
         out["states"] = {k: parse_pmf(v, f"states.{k}").probs for k, v in states.items()}
         # odd slots pair channels a and b with state a, even slots channel c with state b
@@ -184,8 +188,8 @@ def load_spec(path) -> dict:
                 _check_states(f"states.{sk}", out["states"][sk].size, out["channels"][ck], f"channels.{ck}")
         if "n_max" in raw:
             out["n_max"] = _finite_number(raw["n_max"], "n_max")
-        if "u_size" in raw:
-            out["u_size"] = _alphabet_size(raw, "u_size")
     else:
         raise SpecError(f"{path}: unknown kind {kind!r}")
+    if "u_size" in raw:
+        out["u_size"] = _alphabet_size(raw, "u_size")
     return out

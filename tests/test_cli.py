@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -8,6 +9,10 @@ from click.testing import CliRunner
 
 from gpchannel import __version__
 from gpchannel.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_VALIDATION, main
+from gpchannel.coding import BudgetError
+from gpchannel.info import SampleBudgetError
+from gpchannel.prob import ValidationError
+from gpchannel.specio import SpecError, load_spec
 
 from conftest import bin_capacity
 
@@ -276,6 +281,80 @@ class TestSpecAlphabets:
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
         assert res.exit_code == EXIT_VALIDATION
         assert "states.b" in res.output
+
+
+class TestExitCodes:
+    """Every subcommand reaches the one exception-to-exit-code map."""
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            (dict(mixture_spec(), channel_mixture=[{"weight": "half", "channel": [bsc(0.05)] * 2}]),
+             "channel_mixture[0].weight"),
+            (system_spec(policy={"u_given_s": [["half", 0.5], [0.5, 0.5]], "g": [[0, 0], [1, 1]]}),
+             "policy.u_given_s"),
+            ({"kind": "j-structured", "channels": [1, 2], "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]}},
+             "channels"),
+            (system_spec(policy={"u_given_s": [[0.5, 0.5], [0.5, 0.5]], "g": [[0, 0], [1]]}), "policy.g"),
+            (system_spec(policy=3), "policy"),
+            (system_spec(state_pmf=["0.5", "0.5"]), "state_pmf"),
+            (dict(mixture_spec(), state_mixture=1), "state_mixture"),
+        ],
+    )
+    def test_malformed_spec_value_names_key(self, tmp_path, spec, key):
+        spec = write_spec(tmp_path, spec)
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith(f"error: {key}:")
+        assert not (tmp_path / "o").exists()
+
+    def test_any_malformed_spec_value_is_a_validation_error(self, tmp_path):
+        """Each node of each spec kind, replaced by each bad value, loads or exits 2."""
+        specs = [
+            system_spec(side_information="encoder", gamma1=0.02, gamma2=0.02, rate=0.1, rate_scale=0.5,
+                        u_size=2, v_size=2, rd_grid=[0.0, 0.5]),
+            dict(mixture_spec(), u_size=2),
+            {"kind": "j-structured", "channels": {"a": [bsc(0.05)] * 2, "b": [bsc(0.25)] * 2, "c": [bsc(0.1)] * 2},
+             "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]}, "n_max": 64, "u_size": 2},
+        ]
+        bad_values = ["x", None, True, 5, -1, 2.5, [], [1, 2], {}, {"a": 1}, [[0, 0], [1]], [["a", 0.5]], math.nan]
+
+        def nodes(obj, path=()):
+            children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+            for key, child in children:
+                yield path + (key,)
+                yield from nodes(child, path + (key,))
+
+        for spec in specs:
+            for path in nodes(spec):
+                for value in bad_values:
+                    broken = json.loads(json.dumps(spec))
+                    parent = broken
+                    for key in path[:-1]:
+                        parent = parent[key]
+                    parent[path[-1]] = value
+                    with contextlib.suppress(SpecError, ValidationError):
+                        load_spec(write_spec(tmp_path, broken))
+
+    @pytest.mark.parametrize(
+        "command, target, error, code, args",
+        [
+            ("region", "region_frontier", ValidationError, EXIT_VALIDATION, ["--restarts", "1"]),
+            ("simulate", "run_experiment", BudgetError, EXIT_BUDGET, ["--n", "20", "--trials", "5"]),
+            ("spectrum", "mixture_spectrum_demo", SampleBudgetError, EXIT_BUDGET, ["--n", "20", "--draws", "200"]),
+        ],
+    )
+    def test_solver_error_maps_to_exit_code(self, tmp_path, monkeypatch, command, target, error, code, args):
+        import gpchannel.cli as cli
+
+        def refusing(*a, **kw):
+            raise error("refused by the solver")
+
+        monkeypatch.setattr(cli, target, refusing)
+        spec = write_spec(tmp_path, mixture_spec() if command == "spectrum" else system_spec(rd_grid=[0.0]))
+        res = run([command, "--spec", str(spec), "--out", str(tmp_path / "o"), *args])
+        assert res.exit_code == code
+        assert res.output == "error: refused by the solver\n"
 
 
 class TestSpectrumCommand:

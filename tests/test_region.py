@@ -89,6 +89,20 @@ class TestFrontier:
         region_frontier(state_flip_bsc(0.1), uniform_state, v_size=2, u_size=2, rd_grid=[0.0], restarts=3)
         assert restarts == [3]
 
+    def test_one_penalty_solve_per_start_and_grid_point(self, uniform_state, monkeypatch):
+        import gpchannel.region as region
+
+        mus = []
+        solve = region.minimize
+
+        def recording(*args, **kwargs):
+            mus.append(kwargs["args"][4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(region, "minimize", recording)
+        region_frontier(asym_bsc(), uniform_state, v_size=2, u_size=2, rd_grid=[0.0, 0.1, 0.3], restarts=2)
+        assert mus == [region.PENALTY_MU] * 6
+
     @pytest.mark.parametrize("key", ["v_size", "u_size", "restarts"])
     def test_size_or_restarts_below_one_rejected(self, uniform_state, key):
         with pytest.raises(ValidationError, match=key):
