@@ -28,6 +28,7 @@ _EXHAUSTIVE_G_CAP = 10**6
 _HEURISTIC_MAPS = 256
 _STEP0 = 0.5
 _USED_MASS = 1e-6
+MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,10 @@ def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult
     """
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
-    value = bound = 0.0
-    per_state_inputs = []
-    for s in range(channel.n_states):
-        c_s, r_s = blahut_arimoto(channel.w[s])
-        value += float(state.probs[s]) * c_s
-        bound += float(state.probs[s]) * _divergence_bound(channel.w[s], r_s)
-        per_state_inputs.append(r_s)
-    rows = np.stack(per_state_inputs)  # u indexes x, chosen per state
+    per_state = [(float(q_s), no_state_capacity(w_s)) for q_s, w_s in zip(state.probs, channel.w)]
+    value = sum(q_s * res.value for q_s, res in per_state)
+    bound = sum(q_s * res.diagnostics["upper_bound"] for q_s, res in per_state)
+    rows = np.stack([res.policy.u_given_s.rows[0] for _, res in per_state])  # u indexes x, chosen per state
     policy = GPPolicy(
         u_given_s=ConditionalPmf(rows),
         x_map=np.tile(np.arange(channel.n_inputs, dtype=np.int64)[:, None], (1, channel.n_states)),
@@ -480,20 +477,16 @@ def cesaro_capacity(seq: SequenceSpec, n_max: int, *, solver_kwargs: dict | None
     targets oscillate on dyadic blocks, so the window always contains
     both extreme phases.
     """
-    if n_max < 4:
-        raise ValidationError("horizon must be at least 4")
+    if n_max < MIN_HORIZON:
+        raise ValidationError(f"horizon must be at least {MIN_HORIZON}")
     kw = solver_kwargs or {}
     cache: dict[tuple[str, str], float] = {}
 
     def cap(ck: str, sk: str) -> float:
         if (ck, sk) not in cache:
-            res = gp_capacity_dm(self_ch(ck), Pmf(np.asarray(seq.states[sk], dtype=np.float64)), **kw)
+            res = gp_capacity_dm(seq.channels[ck], Pmf(np.asarray(seq.states[sk], dtype=np.float64)), **kw)
             cache[(ck, sk)] = res.value
         return cache[(ck, sk)]
-
-    def self_ch(ck: str) -> ChannelKernel:
-        ch = seq.channels[ck]
-        return ch if isinstance(ch, ChannelKernel) else ChannelKernel(np.asarray(ch))
 
     analytic = None
     if seq.kind == "stationary":

@@ -98,7 +98,7 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
-        except (SpecError, ValidationError) as exc:
+        except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
         except (BudgetError, SampleBudgetError) as exc:
@@ -139,21 +139,17 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
     if spec["kind"] == "system":
         side = spec.get("side_information", "encoder")
         if side == "none":
-            if spec["channel"].n_states != 1:
-                raise SpecError("side_information=none requires a stateless (|S|=1) channel")
             res = no_state_capacity(spec["channel"])
         elif side == "both":
             res = state_at_both_capacity(spec["channel"], spec["state"])
-        elif side == "encoder":
-            res = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
         else:
-            raise SpecError(f"unknown side_information {side!r}")
+            res = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
         lines = _capacity_lines(res, f"side_information={side}")
     elif spec["kind"] == "mixture":
         res = maximize_mixed_lower_bound(spec["mixture"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
         lines = _capacity_lines(res, "bound=lower")
     else:  # j-structured
-        n_max = int(spec.get("n_max", 2**16))
+        n_max = spec.get("n_max", 2**16)
         seq = SequenceSpec(kind="j-structured", channels=spec["channels"], states=spec["states"])
         require_interleaved_form(seq.channels["a"], seq.channels["b"], ("channels.a", "channels.b"))
         kw = {"u_size": spec.get("u_size"), "restarts": restarts, "seed": seed}

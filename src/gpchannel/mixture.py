@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 from .capacity import CapacityResult, _averaged_channel_candidate, optimize_gp_policy
 from .coding import MemorylessSystem
 from .info import SpectrumSamples, counts_scores, mutual_information
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError
+from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, check_rows
 from .rng import stream
 
 _WEIGHT_TOL = 1e-12
@@ -42,19 +42,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         for name, comps in (("channel", self.channel_components), ("state", self.state_components)):
-            if not comps:
-                raise ValidationError(f"{name} mixture is empty")
-            weights = np.array([w for w, _ in comps], dtype=np.float64)
-            if not np.isfinite(weights).all():
-                raise ValidationError(f"{name} mixture has a non-finite weight")
-            if (weights < 0).any():
-                raise ValidationError(f"{name} mixture has a negative weight")
-            if abs(weights.sum() - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"{name} mixture weights sum to {weights.sum():.12g}; truncation tail exceeds 1e-9"
-                )
-            if not (weights > 0).any():
-                raise ValidationError(f"{name} mixture has empty support")
+            # the 1e-9 is the truncation-tail allowance; it also rejects an empty or all-zero list
+            check_rows([w for w, _ in comps], f"{name} mixture weights", 1e-9)
         shapes = {ch.w.shape for _, ch in self.channel_components}
         if len(shapes) != 1:
             raise DimensionError("channel components have mismatched alphabets")

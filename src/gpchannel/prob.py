@@ -15,20 +15,32 @@ NORM_TOL = 1e-12
 
 
 class ValidationError(ValueError):
-    """Raised when a probability object fails its invariants."""
+    """Raised when an input fails its invariants."""
 
 
-class DimensionError(ValueError):
+class DimensionError(ValidationError):
     """Raised when alphabet sizes of composed objects disagree."""
 
 
-def _check_pmf(p: np.ndarray, what: str) -> None:
-    if not np.isfinite(p).all():
-        raise ValidationError(f"{what}: non-finite entry")
-    if np.any(p < 0):
-        raise ValidationError(f"{what}: negative entry")
-    if abs(float(p.sum()) - 1.0) > NORM_TOL:
-        raise ValidationError(f"{what}: entries sum to {p.sum()!r}, not 1")
+def check_rows(rows, what: str, tol: float = NORM_TOL) -> np.ndarray:
+    """rows as float64 after checking that each row on its last axis is a pmf.
+
+    Raises ValidationError naming what and the first offending row in C
+    order when a row holds a non-finite or negative entry or its sum is
+    more than tol away from 1.
+    """
+    r = np.asarray(rows, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = r.sum(axis=-1)
+    # a non-finite entry makes its row sum non-finite, which fails the sum test
+    bad = (r < 0).any(axis=-1) | ~(np.abs(sums - 1.0) <= tol)
+    if bad.any():
+        idx = np.unravel_index(int(bad.argmax()), bad.shape)
+        row = f"row {', '.join(map(str, idx))}: " if idx else ""
+        fault = ("non-finite entry" if not np.isfinite(r[idx]).all() else "negative entry" if (r[idx] < 0).any()
+                 else f"sums to {sums[idx]:.12g}, off by more than {tol:g}")
+        raise ValidationError(f"{what}: {row}{fault}")
+    return r
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,7 +59,7 @@ class Pmf:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("Pmf must be a non-empty vector")
-        _check_pmf(p, "Pmf")
+        check_rows(p, "Pmf")
         object.__setattr__(self, "probs", _freeze(p))
 
     @property
@@ -65,8 +77,7 @@ class ConditionalPmf:
         r = np.asarray(self.rows, dtype=np.float64)
         if r.ndim != 2:
             raise ValidationError("ConditionalPmf rows must be a matrix")
-        for i in range(r.shape[0]):
-            _check_pmf(r[i], f"ConditionalPmf row {i}")
+        check_rows(r, "ConditionalPmf")
         object.__setattr__(self, "rows", _freeze(r))
 
     @property
@@ -88,9 +99,7 @@ class ChannelKernel:
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 3:
             raise ValidationError("ChannelKernel must have shape (|S|,|X|,|Y|)")
-        for s in range(w.shape[0]):
-            for x in range(w.shape[1]):
-                _check_pmf(w[s, x], f"channel row (s={s}, x={x})")
+        check_rows(w, "ChannelKernel")
         object.__setattr__(self, "w", _freeze(w))
 
     @property

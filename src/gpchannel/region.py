@@ -23,9 +23,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import softmax
 
-from .capacity import blahut_arimoto, gp_capacity_dm
+from .capacity import gp_capacity_dm, state_at_both_capacity
 from .info import conditional_mutual_information, mutual_information
-from .prob import ChannelKernel, Pmf, ValidationError, effective_kernel
+from .prob import ChannelKernel, Pmf, ValidationError, check_rows, effective_kernel
 from .rng import stream
 
 
@@ -38,10 +38,8 @@ class RegionPolicy:
     x_map: np.ndarray  # (U,V,S) ints
 
     def __post_init__(self):
-        for name, rows in (("v_given_s", self.v_given_s), ("u_given_vs", self.u_given_vs)):
-            r = np.asarray(rows, dtype=np.float64)
-            if (r < -1e-12).any() or np.abs(r.sum(axis=-1) - 1.0).max() > 1e-9:
-                raise ValidationError(f"{name} rows must be probability vectors")
+        check_rows(self.v_given_s, "v_given_s", 1e-9)
+        check_rows(self.u_given_vs, "u_given_vs", 1e-9)
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,6 @@ def _degenerate_v_candidate(
     inner_u = gp.policy.u_given_s.rows.shape[1]
     u_rows = np.zeros((v_size, n_s, u_size))
     u_rows[:, :, :inner_u] = gp.policy.u_given_s.rows[None, :, :]
-    u_rows[:, :, 0] += 1.0 - u_rows.sum(axis=2)  # pad unused v rows to valid pmfs
     g = np.zeros((u_size, v_size, n_s), dtype=np.int64)
     g[:inner_u] = np.asarray(gp.policy.x_map)[:, None, :]
     return RegionPolicy(v_given_s=v_rows, u_given_vs=u_rows, x_map=g)
@@ -113,9 +110,7 @@ def _full_description_candidate(channel: ChannelKernel, state: Pmf, v_size: int,
     v_rows = np.zeros((n_s, v_size))
     v_rows[np.arange(n_s), np.arange(n_s)] = 1.0
     u_rows = np.zeros((v_size, n_s, u_size))
-    for s in range(n_s):
-        _, r = blahut_arimoto(channel.w[s])
-        u_rows[:, s, :n_x] = r[None, :]
+    u_rows[:, :, :n_x] = state_at_both_capacity(channel, state).policy.u_given_s.rows[None, :, :]
     g = np.zeros((u_size, v_size, n_s), dtype=np.int64)
     g[:n_x] = np.arange(n_x)[:, None, None]
     return RegionPolicy(v_given_s=v_rows, u_given_vs=u_rows, x_map=g)

@@ -9,14 +9,15 @@ channel, mixture channels against the first), or the key is named too.
 kinds (each takes an optional "u_size"):
   system        — "state_pmf", "channel" [s][x][y], optional "policy"
                   ({"u_given_s": rows, "g": [u][s]}), optional scalars
-                  ("gamma1", "gamma2", "rate", "rate_scale",
-                  "side_information": encoder|both|none), and for
+                  ("gamma1", "gamma2", "rate", "rate_scale"), optional
+                  "side_information": "encoder" (the default), "both",
+                  or "none" (only for a one-state channel), and for
                   region "v_size" and "rd_grid" (non-negative numbers)
   mixture       — "channel_mixture": [{"weight", "channel"}],
                   "state_mixture": [{"weight", "state_pmf"}], optional
                   shared "policy"
   j-structured  — "channels": {"a","b","c"}, "states": {"a","b"},
-                  optional "n_max"
+                  optional "n_max" (an integer >= 4)
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ import math
 
 import numpy as np
 
+from .capacity import MIN_HORIZON
 from .mixture import MixtureSpec
-from .prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf
+from .prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows
 
 ROW_TOL = 1e-9
 
 
-class SpecError(ValueError):
+class SpecError(ValidationError):
     """Malformed spec file; the message names the offending key."""
 
 
@@ -49,10 +51,10 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _alphabet_size(raw: dict, key: str) -> int:
+def _integer(raw: dict, key: str, least: int = 1) -> int:
     value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SpecError(f"{key}: alphabet size must be a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SpecError(f"{key}: must be an integer of at least {least}, got {value!r}")
     return value
 
 
@@ -84,19 +86,8 @@ def _array(obj, context: str, ndim: int, form: str, kinds: str) -> np.ndarray:
 def _rows(obj, context: str, ndim: int, form: str) -> np.ndarray:
     """obj as an ndim-deep float64 array of pmf rows on its last axis,
     renormalizing tiny drift; every error names context."""
-    arr = _array(obj, context, ndim, form, "iuf").astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise SpecError(f"{context}: non-finite probability entry")
-    if (arr < 0).any():
-        raise SpecError(f"{context}: negative probability entry")
-    sums = arr.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > ROW_TOL:
-        bad = np.unravel_index(int(np.abs(sums - 1.0).argmax()), sums.shape) if sums.ndim else ()
-        raise SpecError(
-            f"{context}: row {bad} sums to {sums.max() if sums.ndim == 0 else sums[bad]:.12g}, "
-            f"off by more than {ROW_TOL:g}"
-        )
-    return arr / sums[..., None]
+    arr = check_rows(_array(obj, context, ndim, form, "iuf"), context, ROW_TOL)
+    return arr / arr.sum(axis=-1, keepdims=True)
 
 
 def parse_pmf(obj, context: str) -> Pmf:
@@ -147,7 +138,7 @@ def load_spec(path) -> dict:
     except OSError as exc:
         raise SpecError(f"{path}: {exc}") from exc
     kind = _require(raw, "kind", str(path))
-    out = {"kind": kind, "raw": raw}
+    out = {"kind": kind}
     if kind == "system":
         out["state"] = parse_pmf(_require(raw, "state_pmf", "system"), "state_pmf")
         out["channel"] = parse_channel(_require(raw, "channel", "system"), "channel")
@@ -155,14 +146,19 @@ def load_spec(path) -> dict:
         if "policy" in raw:
             out["policy"] = parse_policy(raw["policy"], "policy", out["channel"], "channel")
         if "side_information" in raw:
-            out["side_information"] = raw["side_information"]
+            side = out["side_information"] = raw["side_information"]
+            if side not in ("encoder", "both", "none"):
+                raise SpecError(f"side_information: must be encoder, both or none, got {side!r}")
+            if side == "none" and out["channel"].n_states != 1:
+                raise SpecError(f"side_information: none needs a stateless channel, but channel has "
+                                f"{out['channel'].n_states} states")
         for key in ("gamma1", "gamma2", "rate", "rate_scale"):
             if key in raw:
                 out[key] = _finite_number(raw[key], key)
         if "rd_grid" in raw:
             out["rd_grid"] = _rd_grid(raw["rd_grid"])
         if "v_size" in raw:
-            out["v_size"] = _alphabet_size(raw, "v_size")
+            out["v_size"] = _integer(raw, "v_size")
     elif kind == "mixture":
         chans = _components(raw, "channel_mixture", "channel", parse_channel)
         states = _components(raw, "state_mixture", "state_pmf", parse_pmf)
@@ -187,9 +183,9 @@ def load_spec(path) -> dict:
             if ck in out["channels"] and sk in out["states"]:
                 _check_states(f"states.{sk}", out["states"][sk].size, out["channels"][ck], f"channels.{ck}")
         if "n_max" in raw:
-            out["n_max"] = _finite_number(raw["n_max"], "n_max")
+            out["n_max"] = _integer(raw, "n_max", MIN_HORIZON)
     else:
         raise SpecError(f"{path}: unknown kind {kind!r}")
     if "u_size" in raw:
-        out["u_size"] = _alphabet_size(raw, "u_size")
+        out["u_size"] = _integer(raw, "u_size")
     return out

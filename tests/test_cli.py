@@ -11,7 +11,7 @@ from gpchannel import __version__
 from gpchannel.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_VALIDATION, main
 from gpchannel.coding import BudgetError
 from gpchannel.info import SampleBudgetError
-from gpchannel.prob import ValidationError
+from gpchannel.prob import DimensionError, ValidationError
 from gpchannel.specio import SpecError, load_spec
 
 from conftest import bin_capacity
@@ -217,6 +217,36 @@ class TestCapacityCommand:
         assert res.exit_code == EXIT_VALIDATION
         assert "n_max" in res.output
 
+    @pytest.mark.parametrize("n_max", [100.7, 3, "64"])
+    def test_n_max_not_an_integer_horizon_names_key(self, tmp_path, n_max):
+        spec = write_spec(
+            tmp_path,
+            {
+                "kind": "j-structured",
+                "channels": {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]},
+                "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]},
+                "n_max": n_max,
+            },
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith("error: n_max:")
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("capacity", ["--restarts", "1"]),
+            ("simulate", ["--n", "20", "--trials", "5"]),
+            ("region", ["--restarts", "1"]),
+        ],
+    )
+    def test_unknown_side_information_names_key(self, tmp_path, command, args):
+        spec = write_spec(tmp_path, system_spec(side_information="bogus", rd_grid=[0.0]))
+        res = run([command, "--spec", str(spec), "--out", str(tmp_path / "o"), *args])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith("error: side_information:")
+        assert not (tmp_path / "o").exists()
+
     def test_unexpected_exception_exits_internal(self, tmp_path, monkeypatch):
         import gpchannel.cli as cli
 
@@ -342,6 +372,7 @@ class TestExitCodes:
             ("region", "region_frontier", ValidationError, EXIT_VALIDATION, ["--restarts", "1"]),
             ("simulate", "run_experiment", BudgetError, EXIT_BUDGET, ["--n", "20", "--trials", "5"]),
             ("spectrum", "mixture_spectrum_demo", SampleBudgetError, EXIT_BUDGET, ["--n", "20", "--draws", "200"]),
+            ("capacity", "gp_capacity_dm", DimensionError, EXIT_VALIDATION, ["--restarts", "1"]),
         ],
     )
     def test_solver_error_maps_to_exit_code(self, tmp_path, monkeypatch, command, target, error, code, args):

@@ -2,8 +2,8 @@
 counts-times-log-table block score, the explicit decoder's type-count
 scores built on it, the inverse-CDF sampler, the GP optimizer's
 enumeration of input maps up to relabelling, the effective channel of
-an input map, and the region solver's penalised objective and its
-gradient."""
+an input map, the region solver's penalised objective and its
+gradient, and the one check every probability row goes through."""
 
 import math
 from unittest import mock
@@ -17,7 +17,7 @@ from gpchannel import kernels
 from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
 from gpchannel.coding import sample
 from gpchannel.info import counts_scores
-from gpchannel.prob import effective_kernel
+from gpchannel.prob import ValidationError, check_rows, effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
 
 from conftest import full_product_maps
@@ -226,3 +226,64 @@ def test_region_penalty_gradient_matches_central_differences(case, mu):
             for e in steps
         ]) / (2 * h)
         np.testing.assert_allclose(grad, central, rtol=0, atol=1e-7 * (1.0 + mu))
+
+
+@st.composite
+def rows_with_faults(draw):
+    """Pmf rows on the last axis of an array of 1 to 3 axes, each of size
+    1 to 4, with up to three faults injected: a NaN, an infinity, a
+    negative entry -d (its mass moved to the next entry, so the row still
+    sums to 1), or a row rescaled by 1 +- d. Each d sits at least 1e-13
+    from both tolerances drawn below, far beyond summation error."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    fault = st.tuples(
+        st.sampled_from(["nan", "inf", "-inf", "negative", "rescale"]),
+        st.integers(0, rows.size - 1),
+        st.sampled_from([1e-13, 1e-10, 0.3]),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    for kind, flat, d, sign in draw(st.lists(fault, max_size=3)):
+        at = np.unravel_index(flat, shape)
+        if kind == "negative":
+            row, j = rows[at[:-1]], at[-1]
+            shift = row[j] + d
+            with np.errstate(invalid="ignore"):  # an earlier fault may have left inf there
+                row[j] -= shift
+                if row.size > 1:
+                    row[(j + 1) % row.size] += shift
+        elif kind == "rescale":
+            rows[at[:-1]] *= 1.0 + sign * d
+        else:
+            rows[at] = float(kind)
+    return rows
+
+
+def _first_bad_row(rows, tol):
+    """(index, fault) of the first row in C order that is not a pmf within tol."""
+    for idx in np.ndindex(rows.shape[:-1]):
+        row = rows[idx].tolist()
+        if not all(map(math.isfinite, row)):
+            return idx, "non-finite entry"
+        if min(row) < 0:
+            return idx, "negative entry"
+        if abs(math.fsum(row) - 1.0) > tol:
+            return idx, "sums to"
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows_with_faults(), st.sampled_from([1e-12, 1e-9]))
+def test_check_rows_rejects_exactly_the_first_bad_row(rows, tol):
+    bad = _first_bad_row(rows, tol)
+    if bad is None:
+        out = check_rows(rows, "rows", tol)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, rows)
+        return
+    idx, fault = bad
+    with pytest.raises(ValidationError) as exc:
+        check_rows(rows, "rows", tol)
+    row = f"row {', '.join(map(str, idx))}: " if idx else ""
+    assert str(exc.value).startswith(f"rows: {row}{fault}")

@@ -66,6 +66,13 @@ class TestRatesAndMembership:
                 u_given_vs=np.full((2, 2, 2), 0.5),
                 x_map=np.zeros((2, 2, 2), dtype=np.int64),
             )
+        # a NaN row compares False against every bound, so it must be rejected as non-finite
+        with pytest.raises(ValidationError, match="v_given_s: row 1: non-finite entry"):
+            RegionPolicy(
+                v_given_s=np.array([[0.5, 0.5], [math.nan, math.nan]]),
+                u_given_vs=np.full((2, 2, 2), 0.5),
+                x_map=np.zeros((2, 2, 2), dtype=np.int64),
+            )
 
 
 class TestFrontier:
