@@ -44,19 +44,24 @@ class CapacityResult:
 # Blahut-Arimoto (stateless)
 
 
+def _divergences(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """D(W(.|x) || P_Y) per input x, P_Y the output law of input law r.
+
+    Blahut-Arimoto reweights r by these, and their maximum bounds the
+    capacity of w from above at any r, closing at the optimal law.
+    """
+    py = (r[:, None] * w).sum(axis=0)
+    log_ratio = np.where((w > 0) & (py > 0), _slog(w) - _slog(py), 0.0)
+    return (w * log_ratio).sum(axis=1)
+
+
 def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
     """Capacity (nats) and maximizing input law of a stateless channel."""
     w = np.asarray(p_y_x, dtype=np.float64)
-    m, _ = w.shape
-    r = np.full(m, 1.0 / m)
-    logw = np.where(w > 0, np.log(np.maximum(w, _LOG_FLOOR)), 0.0)
+    r = np.full(w.shape[0], 1.0 / w.shape[0])
     c_prev = -np.inf
     for _ in range(max_iter):
-        q = r[:, None] * w  # joint (x,y)
-        py = q.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpost = np.where((w > 0) & (py[None, :] > 0), logw - np.log(np.maximum(py, _LOG_FLOOR))[None, :], 0.0)
-        d = (w * logpost).sum(axis=1)  # per-input divergence against output marginal
+        d = _divergences(w, r)
         r_new = r * np.exp(d - d.max())
         r_new /= r_new.sum()
         c = float((r * d).sum())
@@ -67,20 +72,6 @@ def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000)
         c_prev = c
     q = r[:, None] * w
     return max(mutual_information(q), 0.0), r
-
-
-def _divergence_bound(p_y_x: np.ndarray, r: np.ndarray) -> float:
-    """max_x D(W(.|x) || P_Y) at the output law P_Y of input law r.
-
-    Every P_Y gives an upper bound on the capacity of W, so this
-    certifies a Blahut-Arimoto value from above; the gap closes at the
-    optimal input law.
-    """
-    w = np.asarray(p_y_x, dtype=np.float64)
-    py = r @ w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(w > 0, w * (np.log(w) - np.log(py)), 0.0).sum(axis=1)
-    return float(d.max())
 
 
 def no_state_capacity(channel) -> CapacityResult:
@@ -97,7 +88,7 @@ def no_state_capacity(channel) -> CapacityResult:
         u_given_s=ConditionalPmf(r[None, :]),
         x_map=np.arange(nx, dtype=np.int64)[:, None],
     )
-    diagnostics = {"method": "blahut-arimoto", "upper_bound": _divergence_bound(w, r)}
+    diagnostics = {"method": "blahut-arimoto", "upper_bound": float(_divergences(w, r).max())}
     return CapacityResult(value=value, policy=policy, diagnostics=diagnostics)
 
 
@@ -176,6 +167,13 @@ def _objective_terms(v, q_list, wg_list_per_k):
     obj = i1.reshape(b, -1).min(axis=1) - i2.max(axis=1)
     dens = np.stack(dens, axis=1).reshape((b, k_n, l_n) + dens[0].shape[1:])
     return obj, i1, i2, dens, np.stack(log_pu, axis=1), log_v
+
+
+def _kernels_by_state(channels, g: np.ndarray) -> list[np.ndarray]:
+    """Effective kernels of the maps g (B,U,S) on each channel (S,X,Y), as
+    the contiguous (S,B,U,Y) arrays _objective_terms reads one state's
+    (B,U,Y) slab at a time."""
+    return [np.ascontiguousarray(effective_kernel(np.asarray(w), g).transpose(2, 0, 1, 3)) for w in channels]
 
 
 def _gradient(q_list, wg_list_per_k, i1, i2, dens, log_pu, log_v):
@@ -306,8 +304,7 @@ def optimize_gp_policy(
         v0 = np.concatenate([v0, np.asarray(cand_v, dtype=np.float64)[None]], axis=0)
     b = g_rep.shape[0]
 
-    # (S,B,U,Y) and contiguous: the objective reads one state's (B,U,Y) slab at a time
-    wg_per_k = [np.ascontiguousarray(effective_kernel(np.asarray(w), g_rep).transpose(2, 0, 1, 3)) for w in channels]
+    wg_per_k = _kernels_by_state(channels, g_rep)
     v = v0
     step = np.full(b, _STEP0)
     terms = _objective_terms(v, states, wg_per_k)
@@ -386,7 +383,7 @@ def gp_capacity_dm(
     )
     value = max(value, 0.0)
     cap = math.log(channel.n_outputs)
-    policy = GPPolicy(u_given_s=ConditionalPmf(v.copy()), x_map=g)
+    policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
     diag = dict(diag)
     diag["u_size"] = u_size
     # I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault
@@ -472,61 +469,53 @@ class SequenceSpec:
 def cesaro_capacity(seq: SequenceSpec, n_max: int, *, solver_kwargs: dict | None = None) -> dict:
     """Running averages (1/n) sum_{i<=n} C(W_i, P_{S_i}) and their liminf.
 
-    The liminf surrogate is the minimum of the partial averages over the
-    final dyadic window [n_max/2, n_max]; the structured sequences this
+    Index i uses constituent slot[i-1], so the average at n is
+    sum_k |{i <= n: slot k}| C_k / n for every sequence kind. The liminf
+    surrogate is the minimum of the partial averages over the final
+    dyadic window [n_max/2, n_max]; the structured sequences this
     targets oscillate on dyadic blocks, so the window always contains
     both extreme phases.
     """
     if n_max < MIN_HORIZON:
         raise ValidationError(f"horizon must be at least {MIN_HORIZON}")
-    kw = solver_kwargs or {}
-    cache: dict[tuple[str, str], float] = {}
-
-    def cap(ck: str, sk: str) -> float:
-        if (ck, sk) not in cache:
-            res = gp_capacity_dm(seq.channels[ck], Pmf(np.asarray(seq.states[sk], dtype=np.float64)), **kw)
-            cache[(ck, sk)] = res.value
-        return cache[(ck, sk)]
-
-    analytic = None
-    if seq.kind == "stationary":
-        c = cap("a", "a")
-        partial = np.full(n_max, c)
-        analytic = c
-    elif seq.kind == "j-structured":
-        ca, cb, cc = cap("a", "a"), cap("b", "a"), cap("c", "b")
-        mask_a = odd_j_mask(n_max)
-        i = np.arange(1, n_max + 1)
-        odd = (i & 1) == 1
-        cnt_a = np.cumsum(mask_a)
-        cnt_odd = np.cumsum(odd)
-        cnt_b = cnt_odd - cnt_a
-        cnt_c = i - cnt_odd
-        partial = (cnt_a * ca + cnt_b * cb + cnt_c * cc) / i
-        g = (2.0 / 3.0) * min(ca, cb) + (1.0 / 3.0) * max(ca, cb)
-        analytic = 0.5 * (g + cc)
+    i = np.arange(1, n_max + 1)
+    if seq.kind == "j-structured":
+        keys = [("a", "a"), ("b", "a"), ("c", "b")]
+        slot = np.where((i & 1) == 0, 2, np.where(odd_j_mask(n_max), 0, 1))
     else:
-        per = [cap(ck, sk) for ck, sk in seq.period]
-        reps = -(-n_max // len(per))
-        vals = np.tile(per, reps)[:n_max]
-        partial = np.cumsum(vals) / np.arange(1, n_max + 1)
-        analytic = float(np.mean(per))
+        period = [tuple(key) for key in seq.period] if seq.kind == "explicit-periodic" else [("a", "a")]
+        keys = list(dict.fromkeys(period))
+        period_slots = np.array([keys.index(key) for key in period])
+        slot = period_slots[(i - 1) % len(period)]
+    kw = solver_kwargs or {}
+    caps = [
+        gp_capacity_dm(seq.channels[ck], Pmf(np.asarray(seq.states[sk], dtype=np.float64)), **kw).value
+        for ck, sk in keys
+    ]
+    partial = sum(np.cumsum(slot == k) * c for k, c in enumerate(caps)) / i
+    if seq.kind == "j-structured":
+        analytic = 0.5 * (_dyadic_blend(caps[0], caps[1]) + caps[2])
+    else:
+        analytic = float(np.mean(np.array(caps)[period_slots]))
     lo = n_max // 2
-    liminf = float(partial[lo - 1:].min())
     return {
         "partial_averages": partial,
-        "liminf_estimate": liminf,
+        "liminf_estimate": float(partial[lo - 1:].min()),
         "analytic_value": analytic,
-        "constituents": dict(cache),
+        "constituents": dict(zip(keys, caps)),
     }
+
+
+def _dyadic_blend(ca: float, cb: float) -> float:
+    """2/3 min + 1/3 max: the liminf contribution of odd slots that
+    alternate between capacities ca and cb on dyadic blocks."""
+    return (2.0 / 3.0) * min(ca, cb) + (1.0 / 3.0) * max(ca, cb)
 
 
 def dyadic_alternation_value(wa: ChannelKernel, wb: ChannelKernel, q: Pmf, **kw) -> float:
     """Weighted blend 2/3 min + 1/3 max of the two constituent capacities,
     the liminf contribution of the dyadically alternating odd slots."""
-    ca = gp_capacity_dm(wa, q, **kw).value
-    cb = gp_capacity_dm(wb, q, **kw).value
-    return (2.0 / 3.0) * min(ca, cb) + (1.0 / 3.0) * max(ca, cb)
+    return _dyadic_blend(gp_capacity_dm(wa, q, **kw).value, gp_capacity_dm(wb, q, **kw).value)
 
 
 def _is_state_symmetric_bsc(w: ChannelKernel) -> bool:

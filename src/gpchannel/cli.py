@@ -42,6 +42,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 HIST_BIN_NATS = 0.005
+# GP optimizer starts per map, for `capacity --restarts` and for the
+# policy `simulate` solves when its spec has none
+RESTARTS = 20
 
 
 def _tool_version() -> str:
@@ -131,7 +134,7 @@ def common_options(fn):
 
 @main.command()
 @common_options
-@click.option("--restarts", default=20, show_default=True, type=click.IntRange(min=1))
+@click.option("--restarts", default=RESTARTS, show_default=True, type=click.IntRange(min=1))
 def capacity(spec_path, out_dir, seed, workers, restarts):
     """Single-letter capacities for a system, mixture, or structured sequence."""
     spec = load_spec(spec_path)
@@ -222,7 +225,9 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
     if "policy" in spec:
         policy = spec["policy"]
     else:
-        policy = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), seed=seed).policy
+        policy = gp_capacity_dm(
+            spec["channel"], spec["state"], u_size=spec.get("u_size"), restarts=RESTARTS, seed=seed
+        ).policy
     system = MemorylessSystem(spec["state"], policy, spec["channel"])
     gamma1 = float(spec.get("gamma1", 0.02))
     gamma2 = float(spec.get("gamma2", 0.02))

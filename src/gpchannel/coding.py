@@ -435,8 +435,9 @@ def _decode_hits(codebook, y_blocks, system, thresholds) -> list[tuple[int | Non
 
 def _atypical(system: MemorylessSystem, u_block: np.ndarray, y_block: np.ndarray, t1: float) -> bool:
     """E2: the sent codeword is not T1-typical with the received block."""
-    d_entries = system.d_uy[u_block, y_block]
-    return not float(np.where(np.isfinite(d_entries), d_entries, -np.inf).sum()) >= u_block.size * t1
+    n_y = system.d_uy.shape[1]
+    counts = np.bincount(u_block.astype(np.int64) * n_y + y_block, minlength=system.d_uy.size)
+    return not counts_scores(counts[None], system.d_uy)[0] >= u_block.size * t1
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,14 @@
 
 Exact mutual-information computations use the 0*log(0/.) = 0 convention.
 Spectral inf/sup rates are asymptotic objects; the finite-sample
-surrogate used here is a small-exceedance-mass quantile (delta default
-0.01), and every result records the delta it was computed with.
+surrogate used here is a small-exceedance-mass quantile at the mass
+delta that spectral_rate_estimate is given (default 0.01).
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +18,6 @@ DEFAULT_DELTA = 0.01
 
 class SampleBudgetError(ValueError):
     """Too few samples for the requested quantile mass."""
-
-
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * math.log(p) - (1 - p) * math.log(1 - p))
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -90,13 +83,6 @@ def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     return out
 
 
-def expected_density(joint: np.ndarray, table: np.ndarray) -> float:
-    """E[table] under the joint; equals mutual_information on valid input."""
-    p = np.asarray(joint, dtype=np.float64)
-    mask = p > 0
-    return float((p[mask] * table[mask]).sum())
-
-
 @dataclass(frozen=True)
 class SpectrumSamples:
     """Normalized block information-density draws.
@@ -110,7 +96,6 @@ class SpectrumSamples:
     n: int
     seed: int = 0
     tail_infinite: int = 0
-    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -125,14 +110,6 @@ class SpectrumSamples:
     @property
     def count(self) -> int:
         return self.samples.size
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"# n={self.n} count={self.count} seed={self.seed} delta={self.delta}"])
-            writer.writerow(["density_nats"])
-            for v in self.samples:
-                writer.writerow([repr(float(v))])
 
 
 def spectral_rate_estimate(samples: SpectrumSamples, mode: str, delta: float = DEFAULT_DELTA) -> float:

@@ -19,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .capacity import CapacityResult, _averaged_channel_candidate, optimize_gp_policy
+from .capacity import (
+    CapacityResult,
+    _averaged_channel_candidate,
+    _kernels_by_state,
+    _objective_terms,
+    optimize_gp_policy,
+)
 from .coding import MemorylessSystem
-from .info import SpectrumSamples, counts_scores, mutual_information
+from .info import SpectrumSamples, counts_scores
 from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, check_rows
 from .rng import stream
 
@@ -60,18 +66,13 @@ class MixtureSpec:
         return [q for w, q in self.state_components if w > _WEIGHT_TOL]
 
 
-def _pair_objective(mix: MixtureSpec, policy: GPPolicy):
-    """(I(U;Y) matrix over (k,l), I(U;S) vector over l) for a shared policy."""
-    states = mix.state_support
-    i_uy = np.array([[MemorylessSystem(q, policy, ch).i_uy for q in states] for ch in mix.channel_support])
-    i_us = np.array([mutual_information(q.probs[:, None] * policy.u_given_s.rows) for q in states])
-    return i_uy, i_us
-
-
 def mixed_lower_bound(mix: MixtureSpec, policy: GPPolicy) -> float:
-    """Exact min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) for a shared policy."""
-    i_uy, i_us = _pair_objective(mix, policy)
-    return float(i_uy.min() - i_us.max())
+    """Exact min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) for a shared policy:
+    the optimizer's own objective at the policy's (v, g) row."""
+    g = policy.x_map[None]
+    wg_per_k = _kernels_by_state([ch.w for ch in mix.channel_support], g)
+    obj = _objective_terms(policy.u_given_s.rows[None], [q.probs for q in mix.state_support], wg_per_k)[0]
+    return float(obj[0])
 
 
 def maximize_mixed_lower_bound(
@@ -96,7 +97,7 @@ def maximize_mixed_lower_bound(
     value, v, g, diag = optimize_gp_policy(
         states, chans, u_size, restarts=restarts, iters=iters, seed=seed, candidates=tuple(cand)
     )
-    policy = GPPolicy(u_given_s=ConditionalPmf(v.copy()), x_map=g)
+    policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
     diag = dict(diag)
     diag.update(u_size=u_size, lower_bound_only=len(chans) > 1 or len(states) > 1)
     return CapacityResult(value=max(value, 0.0), policy=policy, diagnostics=diag)

@@ -1,8 +1,8 @@
 """Finite-alphabet probability objects and the effective channel of an input map.
 
 All probabilities are 64-bit floats, all logs natural, all rates in nats.
-Objects are immutable after construction (arrays are set read-only) and
-safe to share across threads.
+Objects are immutable after construction (each holds a read-only copy of
+its arrays) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ def check_rows(rows, what: str, tol: float = NORM_TOL) -> np.ndarray:
     return r
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A read-only private copy of a; the caller's array stays writeable."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -136,13 +137,11 @@ class GPPolicy:
                 raise ValidationError("x_map must be integral")
         if np.any(xm < 0):
             raise ValidationError("x_map entries must be non-negative input indices")
-        xm = np.ascontiguousarray(xm, dtype=np.int64)
         if xm.shape[1] != self.u_given_s.n_conditions:
             raise DimensionError("x_map state axis disagrees with u_given_s")
         if xm.shape[0] != self.u_given_s.n_outputs:
             raise DimensionError("x_map u axis disagrees with u_given_s")
-        xm.setflags(write=False)
-        object.__setattr__(self, "x_map", xm)
+        object.__setattr__(self, "x_map", _freeze(xm, np.int64))
 
     @property
     def n_states(self) -> int:

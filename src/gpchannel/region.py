@@ -25,7 +25,7 @@ from scipy.special import softmax
 
 from .capacity import gp_capacity_dm, state_at_both_capacity
 from .info import conditional_mutual_information, mutual_information
-from .prob import ChannelKernel, Pmf, ValidationError, check_rows, effective_kernel
+from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
 from .rng import stream
 
 
@@ -85,34 +85,16 @@ def region_membership(point: RegionPoint, channel: ChannelKernel, state: Pmf) ->
 # candidate policies anchoring the endpoints
 
 
-def _degenerate_v_candidate(
-    channel: ChannelKernel, state: Pmf, v_size: int, u_size: int, restarts: int, seed: int
-) -> RegionPolicy:
-    """V carries nothing; the encoder-only optimum is feasible at R_d = 0."""
-    u_inner = min(u_size, channel.n_inputs * channel.n_states + 1)
-    gp = gp_capacity_dm(channel, state, u_size=u_inner, restarts=restarts, seed=seed)
-    n_s = channel.n_states
-    v_rows = np.zeros((n_s, v_size))
-    v_rows[:, 0] = 1.0
-    inner_u = gp.policy.u_given_s.rows.shape[1]
-    u_rows = np.zeros((v_size, n_s, u_size))
-    u_rows[:, :, :inner_u] = gp.policy.u_given_s.rows[None, :, :]
-    g = np.zeros((u_size, v_size, n_s), dtype=np.int64)
-    g[:inner_u] = np.asarray(gp.policy.x_map)[:, None, :]
-    return RegionPolicy(v_given_s=v_rows, u_given_vs=u_rows, x_map=g)
-
-
-def _full_description_candidate(channel: ChannelKernel, state: Pmf, v_size: int, u_size: int) -> RegionPolicy:
-    """V = S delivered to the decoder; per-state optimal inputs give the
-    two-sided capacity once R_d covers the description cost. Needs
-    v_size >= |S| and u_size >= |X|."""
-    n_s, n_x = channel.n_states, channel.n_inputs
-    v_rows = np.zeros((n_s, v_size))
-    v_rows[np.arange(n_s), np.arange(n_s)] = 1.0
-    u_rows = np.zeros((v_size, n_s, u_size))
-    u_rows[:, :, :n_x] = state_at_both_capacity(channel, state).policy.u_given_s.rows[None, :, :]
-    g = np.zeros((u_size, v_size, n_s), dtype=np.int64)
-    g[:n_x] = np.arange(n_x)[:, None, None]
+def _anchor_policy(v_rows: np.ndarray, gp_policy: GPPolicy, u_size: int) -> RegionPolicy:
+    """The region policy that describes S by P(v|s) = v_rows and sends
+    gp_policy's U and input map whatever V is; U symbols past
+    gp_policy's alphabet go unused."""
+    inner = gp_policy.u_given_s.rows
+    n_s, n_u = inner.shape
+    u_rows = np.zeros((v_rows.shape[1], n_s, u_size))
+    u_rows[:, :, :n_u] = inner
+    g = np.zeros((u_size, v_rows.shape[1], n_s), dtype=np.int64)
+    g[:n_u] = gp_policy.x_map[:, None, :]
     return RegionPolicy(v_given_s=v_rows, u_given_vs=u_rows, x_map=g)
 
 
@@ -230,9 +212,14 @@ def region_frontier(
     if (rd_grid < 0).any():
         raise ValidationError("description-rate budgets must be non-negative")
 
-    anchors = [_degenerate_v_candidate(channel, state, v_size, u_size, restarts, seed)]
-    if v_size >= channel.n_states and u_size >= channel.n_inputs:
-        anchors.append(_full_description_candidate(channel, state, v_size, u_size))
+    n_s, n_x = channel.n_states, channel.n_inputs
+    # V carries nothing: the encoder-only optimum is feasible at R_d = 0
+    gp = gp_capacity_dm(channel, state, u_size=min(u_size, n_x * n_s + 1), restarts=restarts, seed=seed)
+    anchors = [_anchor_policy(np.tile(np.eye(1, v_size), (n_s, 1)), gp.policy, u_size)]
+    if v_size >= n_s and u_size >= n_x:
+        # V = S: per-state optimal inputs give the two-sided capacity once
+        # R_d covers the description cost
+        anchors.append(_anchor_policy(np.eye(n_s, v_size), state_at_both_capacity(channel, state).policy, u_size))
     anchor_rates = [(_rates(pol, channel, state), pol) for pol in anchors]
 
     points: list[RegionPoint] = []

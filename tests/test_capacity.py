@@ -426,5 +426,7 @@ class TestClosedForm:
             states={"a": uniform_state.probs, "b": uniform_state.probs},
         )
         out = cesaro_capacity(seq, 2**14, solver_kwargs=kw)
+        # one blend of the same constituent solves: equal to the last bit
+        assert out["analytic_value"] == closed
         assert out["analytic_value"] == pytest.approx(closed, abs=1e-9)
         assert out["liminf_estimate"] == pytest.approx(closed, abs=0.01)

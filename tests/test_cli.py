@@ -443,6 +443,26 @@ class TestSimulateCommand:
         assert "rho_term.rho_n=" in summary
         assert "error_within_bound=True" in summary
 
+    def test_default_policy_solved_as_capacity_solves_it(self, tmp_path, monkeypatch):
+        import gpchannel.cli as cli
+
+        calls = []
+        solve = cli.gp_capacity_dm
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gp_capacity_dm", spy)
+        spec = system_spec(u_size=2)
+        del spec["policy"]
+        spec = write_spec(tmp_path, spec)
+        for command, extra in (("capacity", []), ("simulate", ["--n", "20", "--trials", "5", "--draws", "200"])):
+            res = run([command, "--spec", str(spec), "--out", str(tmp_path / command), "--seed", "4", *extra])
+            assert res.exit_code == 0
+        # capacity, then simulate
+        assert calls == [{"u_size": 2, "restarts": cli.RESTARTS, "seed": 4}] * 2
+
     def test_explicit_budget_refusal(self, tmp_path):
         spec = write_spec(tmp_path, system_spec(rate_scale=0.7))
         res = run(

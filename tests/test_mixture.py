@@ -11,7 +11,8 @@ from gpchannel.mixture import (
     mixed_lower_bound,
     mixture_spectrum_demo,
 )
-from gpchannel.prob import DimensionError, Pmf, ValidationError
+from gpchannel.prob import ChannelKernel, DimensionError, Pmf, ValidationError
+from gpchannel.rng import stream
 
 from conftest import (
     bin_capacity,
@@ -107,6 +108,17 @@ class TestMaximize:
         mixed = maximize_mixed_lower_bound(mix, u_size=3, **self.KW)
         direct = gp_capacity_dm(ch, uniform_state, u_size=3, **self.KW)
         assert mixed.value == pytest.approx(direct.value, abs=1e-6)
+
+    def test_bound_of_optimum_is_optimizer_value(self):
+        # the bound and the optimizer evaluate one objective, so they agree bit for bit
+        rng = stream(0, 31)
+        for _ in range(20):
+            mix = MixtureSpec(
+                tuple((w, ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))) for w in (0.4, 0.6)),
+                ((1.0, Pmf(rng.dirichlet(np.ones(2)))),),
+            )
+            res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, iters=60, seed=1)
+            assert max(mixed_lower_bound(mix, res.policy), 0.0) == res.value
 
     def test_dominated_by_worst_pair(self, uniform_state):
         mix = MixtureSpec(

@@ -64,6 +64,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             p.probs[0] = 1.0
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda a: Pmf(a), "probs"),
+            (lambda a: ConditionalPmf(a), "rows"),
+            (lambda a: ChannelKernel(a), "w"),
+            (lambda a: GPPolicy(u_given_s=ConditionalPmf(np.full((2, 2), 0.5)), x_map=a), "x_map"),
+        ],
+        ids=["Pmf", "ConditionalPmf", "ChannelKernel", "GPPolicy"],
+    )
+    def test_caller_array_stays_writeable(self, build, field):
+        arg = {
+            "probs": np.array([0.5, 0.5]),
+            "rows": np.full((2, 2), 0.5),
+            "w": np.full((1, 2, 2), 0.5),
+            "x_map": np.array([[0, 1], [1, 0]], dtype=np.int64),
+        }[field]
+        obj = build(arg)
+        kept = np.array(getattr(obj, field))
+        assert arg.flags.writeable
+        arg[...] = 7
+        assert not getattr(obj, field).flags.writeable
+        np.testing.assert_array_equal(getattr(obj, field), kept)
+
 
 class TestComposeJoint:
     """The single-letter law P(s) P(u|s) W(y|g(u,s),s) held by MemorylessSystem.p_suy."""

@@ -1,23 +1,23 @@
 """Property tests for the primitives every estimator shares: the
 counts-times-log-table block score, the explicit decoder's type-count
-scores built on it, the inverse-CDF sampler, the GP optimizer's
-enumeration of input maps up to relabelling, the effective channel of
-an input map, the region solver's penalised objective and its
-gradient, and the one check every probability row goes through."""
+scores and the E2 test built on it, the inverse-CDF sampler, the GP
+optimizer's enumeration of input maps up to relabelling, the effective
+channel of an input map, the region solver's penalised objective and
+its gradient, and the one check every probability row goes through."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpchannel import kernels
 from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
-from gpchannel.coding import sample
+from gpchannel.coding import MemorylessSystem, _atypical, sample
 from gpchannel.info import counts_scores
-from gpchannel.prob import ValidationError, check_rows, effective_kernel
+from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
 
 from conftest import full_product_maps
@@ -100,6 +100,32 @@ def test_codebook_scores_match_per_cell_sum(case, chunk_elements):
                 assert math.isfinite(value)
                 assert math.isclose(value, math.fsum(cells), rel_tol=1e-12, abs_tol=1e-9)
     np.testing.assert_allclose(first, got[0], rtol=1e-12, atol=1e-9)
+
+
+# u = 2 is never used, so row 2 of d_uy is NaN (undefined); W(1|x=0) = 0 and
+# W(2|x=1) = 0 make the cells (0, 1) and (1, 2) -inf on positive marginals
+_E2_SYSTEM = MemorylessSystem(
+    Pmf(np.array([1.0])),
+    GPPolicy(u_given_s=ConditionalPmf(np.array([[0.5, 0.5, 0.0]])), x_map=np.array([[0], [1], [0]])),
+    ChannelKernel(np.array([[[0.8, 0.0, 0.2], [0.1, 0.9, 0.0]]])),
+)
+_E2_PAIRS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_E2_PAIRS, st.floats(-3.0, 3.0), st.sampled_from([np.uint8, np.int64]))
+@example([(0, 0), (0, 1), (1, 1)], -3.0, np.uint8)  # a -inf cell
+@example([(1, 0), (2, 0)], -3.0, np.int64)  # an undefined cell
+def test_atypical_matches_sum_by_position(pairs, t1, u_dtype):
+    table = _E2_SYSTEM.d_uy
+    assert np.isneginf(table[0, 1]) and np.isnan(table[2]).all()
+    u_block = np.array([u for u, _ in pairs], dtype=u_dtype)
+    y_block = np.array([y for _, y in pairs], dtype=np.intp)
+    entries = [float(table[u, y]) for u, y in pairs]
+    total = sum(entries) if all(map(math.isfinite, entries)) else -math.inf
+    # the two summation orders may round apart right at the threshold
+    assume(not math.isfinite(total) or abs(total - len(pairs) * t1) > 1e-9)
+    assert _atypical(_E2_SYSTEM, u_block, y_block, t1) == (not total >= len(pairs) * t1)
 
 
 @settings(deadline=None)
