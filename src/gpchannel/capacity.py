@@ -6,16 +6,21 @@ state-known-at-both-ends capacity, running-average (Cesaro) capacities
 of non-stationary memoryless sequences, and the closed-form value of the
 dyadic odd/even alternating sequence family.
 
-The objective is a difference of concave functionals, hence nonconcave;
-the optimizer is multi-start projected-gradient ascent over the simplex
-product, certified against oracles on small instances rather than by
-convexity.
+For a fixed input map g and one state law, I(U;Y) - I(U;S) is concave in
+P(u|s) (Gel'fand-Pinsker, 1980). The optimizer ascends it from one set of
+starts per relabelling class of maps with entropic steps, whose unit step
+is the closed-form alternating update v(u|s) ~ exp sum_y W_g(y|u,s) log
+P(u|y) (Dupuis-Yu-Willems, 2004). A min over channel components stays
+concave and is ascended through weights that move toward the worst
+component (Sion's minimax); several state components make the objective
+nonconcave, and only the Dirichlet starts guard that case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -26,8 +31,11 @@ from .rng import stream
 _LOG_FLOOR = 1e-26
 _EXHAUSTIVE_G_CAP = 10**6
 _HEURISTIC_MAPS = 256
-_STEP0 = 0.5
 _USED_MASS = 1e-6
+_ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
+# GP optimizer starts per relabelling class (per sampled map in heuristic
+# mode): the uniform law first, then Dirichlet draws
+RESTARTS = 20
 MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
 
 
@@ -114,19 +122,7 @@ def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult
 
 
 # ---------------------------------------------------------------------------
-# projected-gradient engine
-
-
-def _project_rows_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of the last axis onto the probability simplex."""
-    m = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, m + 1)
-    cond = u - css / idx > 0
-    rho = cond.sum(axis=-1)
-    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
-    return np.maximum(v - theta, 0.0)
+# GP policy engine
 
 
 def _slog(x: np.ndarray) -> np.ndarray:
@@ -176,56 +172,41 @@ def _kernels_by_state(channels, g: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(effective_kernel(np.asarray(w), g).transpose(2, 0, 1, 3)) for w in channels]
 
 
-def _gradient(q_list, wg_list_per_k, i1, i2, dens, log_pu, log_v):
-    """Ascent direction of the min/max composite at the active components,
-    from one evaluation's _objective_terms intermediates."""
-    b, k_n, l_n = i1.shape
-    active1 = i1.reshape(b, k_n * l_n).argmin(axis=1)
+def _gradient(weights, wg_list_per_k, lam, i2, dens, log_pu, log_v):
+    """Ascent direction of sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l),
+    the max at its active component, from one evaluation's _objective_terms
+    intermediates. weights[l] is state law l divided by the entropic step's
+    per-state scale, so one channel and one state law give
+    sum_y W_g log P(u|y) - log v at every state of positive probability."""
     active2 = i2.argmax(axis=1)
     grad = np.zeros_like(log_v)
     for k, wg in enumerate(wg_list_per_k):
-        for li, q in enumerate(q_list):
+        for li, w in enumerate(weights):
             inner = np.einsum("sbuy,buy->bsu", wg, dens[:, k, li])
-            term = q[None, :, None] * (inner - log_pu[:, li, None, :])
-            grad = np.where((active1 == k * l_n + li)[:, None, None], term, grad)
-    for li, q in enumerate(q_list):
-        term = q[None, :, None] * (log_v - log_pu[:, li, None, :])
+            grad += lam[:, k, li, None, None] * w[None, :, None] * (inner - log_pu[:, li, None, :])
+    for li, w in enumerate(weights):
+        term = w[None, :, None] * (log_v - log_pu[:, li, None, :])
         grad -= np.where((active2 == li)[:, None, None], term, 0.0)
     return grad
 
 
-def _enumerate_g(u_size: int, n_states: int, n_inputs: int) -> np.ndarray:
-    """All deterministic maps (u,s) -> x as an array (G, U, S)."""
-    digits = u_size * n_states
-    g_count = n_inputs**digits
-    idx = np.arange(g_count)
-    out = np.empty((g_count, digits), dtype=np.int64)
-    for d in range(digits - 1, -1, -1):
-        out[:, d] = idx % n_inputs
-        idx //= n_inputs
-    return out.reshape(g_count, u_size, n_states)
+def _weighted(terms, lam) -> np.ndarray:
+    """sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row."""
+    return (lam * terms[1]).sum(axis=(1, 2)) - terms[2].max(axis=1)
 
 
-def _onto_relabelling_classes(g_rep: np.ndarray, v0: np.ndarray, n_inputs: int):
-    """Move each start (g, v) onto its relabelling class's smallest map and
-    drop the starts that repeat an earlier one.
+def _relabelling_classes(u_size: int, n_states: int, n_inputs: int) -> np.ndarray:
+    """One map (u,s) -> x per relabelling class, as an array (C, U, S).
 
-    Relabelling U permutes the rows s -> x of g and the columns of v alike
-    and leaves the objective unchanged. A stable sort of g's rows gives the
-    class's lexicographically smallest member, and v's columns follow. A
-    start equal in g and v to an earlier one is dropped, keeping the first
-    in order: the uniform start runs once per class, the near-deterministic
-    start once per distinct assignment of rows to states, and every random
-    start is kept.
+    Relabelling U permutes the rows s -> x of a map and leaves the
+    objective unchanged, so a class is a multiset of |U| rows. Each map
+    lists its rows in ascending order, which makes it the class's
+    lexicographically smallest member, and the maps come in ascending
+    order.
     """
-    b = g_rep.shape[0]
-    place = n_inputs ** np.arange(g_rep.shape[2] - 1, -1, -1)
-    order = np.argsort(g_rep @ place, axis=1, kind="stable")
-    g = np.take_along_axis(g_rep, order[:, :, None], axis=1)
-    v = np.take_along_axis(v0, order[:, None, :], axis=2)
-    key = np.concatenate([g.reshape(b, -1).astype(np.float64), v.reshape(b, -1)], axis=1)
-    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
-    return g[first], v[first]
+    rows = np.array(list(product(range(n_inputs), repeat=n_states)), dtype=np.int64)
+    picks = np.array(list(combinations_with_replacement(range(len(rows)), u_size)), dtype=np.int64)
+    return rows[picks]
 
 
 def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
@@ -253,16 +234,30 @@ def optimize_gp_policy(
     channels: list[np.ndarray],
     u_size: int,
     *,
-    restarts: int = 50,
+    restarts: int = RESTARTS,
     iters: int = 200,
     seed: int = 0,
     candidates: tuple = (),
 ):
-    """Multi-start ascent of min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l).
+    """Ascent of min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) over P(u|s) and maps g.
 
     states: state pmfs indexed by l; channels: kernels (S,X,Y) indexed by
-    k. Returns (value, v, g, diagnostics). Candidates are (v, g) pairs
-    evaluated exactly and entered into the restart pool.
+    k. Returns (value, v, g, diagnostics). The search is exhaustive over
+    relabelling classes of maps when the full product |X|^(|U||S|) allows
+    (at most 10^6 maps, alphabets at most 4), else over a seeded sample of
+    maps. Each class or sampled map gets `restarts` starts: the uniform
+    law, then Dirichlet draws. Candidates are (v, g) pairs entered as
+    further starts.
+
+    Each iteration takes the entropic step v <- v exp(step grad / rho),
+    rows renormalised, on the weighted objective sum_{k,l} lam_kl
+    I(U_l;Y_kl) - max_l I(U_l;S_l), with rho(s) = max_l P_l(s). With one
+    channel and one state law, step 1 is the closed-form update
+    v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y). A step that lowers the
+    weighted objective is refused and halved; an accepted one grows the
+    step up to 2. Each row's weights then move toward its worst channel
+    components, lam <- lam exp(-_ETA (I1 - min I1)) renormalised, and the
+    row keeps the best exact objective it has reached.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -272,53 +267,47 @@ def optimize_gp_policy(
     exhaustive = g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
     rng = stream(seed, 0xC0DE)
     if exhaustive:
-        g_tables = _enumerate_g(u_size, n_states, n_inputs)
+        g_tables = _relabelling_classes(u_size, n_states, n_inputs)
     else:
         # heuristic mode: seeded random subset of maps plus identity-like maps
         g_tables = rng.integers(0, n_inputs, size=(_HEURISTIC_MAPS, u_size, n_states))
         g_tables[0] = np.arange(u_size)[:, None] % n_inputs
 
     g_rep = np.repeat(g_tables, restarts, axis=0)
-    b = g_rep.shape[0]
-    v0 = np.empty((b, n_states, u_size))
-    # structured inits: uniform, near-deterministic, then Dirichlet draws
-    v0[:] = 1.0 / u_size
-    per_g = restarts
-    if per_g > 1:
-        ident = np.full((n_states, u_size), 1e-3)
-        for s in range(n_states):
-            ident[s, s % u_size] = 1.0
-        ident /= ident.sum(axis=1, keepdims=True)
-        v0[1::per_g] = ident
-    if per_g > 2:
-        n_rand = b - 2 * g_tables.shape[0]
-        mask = np.ones(b, dtype=bool)
-        mask[0::per_g] = False
-        mask[1::per_g] = False
-        v0[mask] = rng.dirichlet(np.ones(u_size), size=(n_rand, n_states))
-    if exhaustive:
-        g_rep, v0 = _onto_relabelling_classes(g_rep, v0, n_inputs)
-
+    v0 = np.full((g_rep.shape[0], n_states, u_size), 1.0 / u_size)
+    drawn = np.arange(g_rep.shape[0]) % restarts > 0
+    v0[drawn] = rng.dirichlet(np.ones(u_size), size=(int(drawn.sum()), n_states))
     for cand_v, cand_g in candidates:
         g_rep = np.concatenate([g_rep, np.asarray(cand_g, dtype=np.int64)[None]], axis=0)
         v0 = np.concatenate([v0, np.asarray(cand_v, dtype=np.float64)[None]], axis=0)
     b = g_rep.shape[0]
 
     wg_per_k = _kernels_by_state(channels, g_rep)
+    rho = np.max(states, axis=0)
+    weights = [q / np.where(rho > 0, rho, 1.0) for q in states]
+    lam = np.full((b, len(channels), len(states)), 1.0 / (len(channels) * len(states)))
     v = v0
-    step = np.full(b, _STEP0)
+    step = np.ones(b)
     terms = _objective_terms(v, states, wg_per_k)
+    best_obj, best_v = terms[0], v
     for _ in range(iters):
-        grad = _gradient(states, wg_per_k, *terms[1:])
-        cand = _project_rows_simplex(v + step[:, None, None] * grad)
+        x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg_per_k, lam, *terms[2:]), -np.inf)
+        cand = v * np.exp(x - x.max(axis=2, keepdims=True))
+        cand /= cand.sum(axis=2, keepdims=True)
         cterms = _objective_terms(cand, states, wg_per_k)
-        accept = cterms[0] >= terms[0] - 1e-15
+        accept = _weighted(cterms, lam) >= _weighted(terms, lam) - 1e-15
         v = np.where(accept[:, None, None], cand, v)
         terms = tuple(np.where(accept.reshape((b,) + (1,) * (t.ndim - 1)), c, t) for c, t in zip(cterms, terms))
         step = np.where(accept, np.minimum(step * 1.1, 2.0), step * 0.5)
         step = np.maximum(step, 1e-10)
+        better = terms[0] > best_obj
+        best_obj = np.where(better, terms[0], best_obj)
+        best_v = np.where(better[:, None, None], v, best_v)
+        i1 = terms[1]
+        lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
+        lam /= lam.sum(axis=(1, 2), keepdims=True)
 
-    obj = terms[0]
+    obj, v = best_obj, best_v
     order = np.argsort(-obj, kind="stable")
     best = order[0]
     # deterministic tie-break: lexicographic smallest flattened (g, v)
@@ -365,7 +354,7 @@ def gp_capacity_dm(
     state: Pmf,
     u_size: int | None = None,
     *,
-    restarts: int = 50,
+    restarts: int = RESTARTS,
     iters: int = 200,
     seed: int = 0,
 ) -> CapacityResult:

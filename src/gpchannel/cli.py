@@ -23,6 +23,11 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
+    # GP optimizer starts per relabelling class (per sampled map in heuristic
+    # mode), the uniform law first, then Dirichlet draws: the default of
+    # `capacity --restarts` and of the policy `simulate` solves when its
+    # spec has none
+    RESTARTS,
     SequenceSpec,
     cesaro_capacity,
     gp_capacity_dm,
@@ -42,9 +47,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 HIST_BIN_NATS = 0.005
-# GP optimizer starts per map, for `capacity --restarts` and for the
-# policy `simulate` solves when its spec has none
-RESTARTS = 20
 
 
 def _tool_version() -> str:
@@ -134,7 +136,9 @@ def common_options(fn):
 
 @main.command()
 @common_options
-@click.option("--restarts", default=RESTARTS, show_default=True, type=click.IntRange(min=1))
+@click.option("--restarts", default=RESTARTS, show_default=True, type=click.IntRange(min=1),
+              help="GP optimizer starts per relabelling class of input maps (per sampled map in "
+                   "heuristic mode): the uniform law first, then Dirichlet draws.")
 def capacity(spec_path, out_dir, seed, workers, restarts):
     """Single-letter capacities for a system, mixture, or structured sequence."""
     spec = load_spec(spec_path)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .capacity import (
+    RESTARTS,
     CapacityResult,
     _averaged_channel_candidate,
     _kernels_by_state,
@@ -79,7 +80,7 @@ def maximize_mixed_lower_bound(
     mix: MixtureSpec,
     u_size: int | None = None,
     *,
-    restarts: int = 50,
+    restarts: int = RESTARTS,
     iters: int = 200,
     seed: int = 0,
 ) -> CapacityResult:

@@ -45,7 +45,6 @@ def _sigma(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
 
 
-@pytest.mark.slow
 def test_acceptance_1_reduction_identities():
     """State-blind systems reduce to the plain channel capacity, and the
     state-at-both-sides value is the state-weighted per-state capacity."""
@@ -76,7 +75,6 @@ def test_acceptance_2_density_extrema():
           f"{res['limsup_odd_J']:.4f} within 0.01 of 1/3 and 2/3")
 
 
-@pytest.mark.slow
 def test_acceptance_3_interleaved_closed_form():
     """Numeric Cesàro liminf of the structured sequence matches the
     closed-form value on random crossover probabilities."""
@@ -162,7 +160,6 @@ def test_acceptance_6_mixed_spectrum():
           f"inf-estimate {inf_est:.4f} within 0.02 of {min(modes)}")
 
 
-@pytest.mark.slow
 def test_acceptance_7_region_endpoints():
     asymmetric = ChannelKernel(np.stack([bsc_matrix(0.05), bsc_matrix(0.4)]))
     # R_d = 0 references: the exact GP capacity of the two BSC(0.1) systems

@@ -120,6 +120,25 @@ class TestMaximize:
             res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, iters=60, seed=1)
             assert max(mixed_lower_bound(mix, res.policy), 0.0) == res.value
 
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    def test_z_channel_and_mirror_meet_at_the_kink(self, eps, uniform_state):
+        # min_k I(X;Y_k) of a Z channel and its mirror image peaks where the
+        # two curves cross, at X ~ Bern(1/2), away from either channel's own
+        # optimum; the state is ignored, so no policy beats that input law
+        z = np.array([[1.0, 0.0], [eps, 1.0 - eps]])
+        mirror = z[::-1, ::-1]
+        mix = MixtureSpec(
+            ((0.5, ChannelKernel(np.stack([z, z]))), (0.5, ChannelKernel(np.stack([mirror, mirror])))),
+            ((1.0, uniform_state),),
+        )
+
+        def h(p):
+            return -p * math.log(p) - (1 - p) * math.log(1 - p)
+
+        kink = h((1 - eps) / 2) - h(eps) / 2
+        res = maximize_mixed_lower_bound(mix, restarts=1)
+        assert res.value == pytest.approx(kink, abs=1e-9)
+
     def test_dominated_by_worst_pair(self, uniform_state):
         mix = MixtureSpec(
             ((0.5, state_blind_bsc(0.0)), (0.5, state_blind_bsc(0.3))), ((1.0, uniform_state),)

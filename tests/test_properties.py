@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpchannel import kernels
-from gpchannel.capacity import _enumerate_g, _onto_relabelling_classes
+from gpchannel.capacity import _relabelling_classes
 from gpchannel.coding import MemorylessSystem, _atypical, sample
 from gpchannel.info import counts_scores
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
@@ -161,37 +161,19 @@ def map_alphabets(draw):
 
 @settings(deadline=None)
 @given(map_alphabets())
-def test_uniform_starts_leave_one_map_per_relabelling_class(sizes):
+def test_relabelling_classes_one_map_per_class(sizes):
     u_size, n_states, n_inputs = sizes
-    product_maps = full_product_maps(u_size, n_states, n_inputs)
-    np.testing.assert_array_equal(_enumerate_g(u_size, n_states, n_inputs), product_maps)
-    uniform = np.full((len(product_maps), n_states, u_size), 1.0 / u_size)
-    maps, v = _onto_relabelling_classes(product_maps, uniform, n_inputs)
+    maps = _relabelling_classes(u_size, n_states, n_inputs)
     n_rows = n_inputs**n_states
     assert maps.shape == (math.comb(n_rows + u_size - 1, u_size), u_size, n_states)
-    assert (v == 1.0 / u_size).all()
     place = n_inputs ** np.arange(n_states - 1, -1, -1)
     codes = [tuple(int(r) for r in m @ place) for m in maps]
-    # rows sorted within each map, maps in the full product's order
+    # rows ascending within each map, maps in ascending order
     assert all(list(c) == sorted(c) for c in codes)
     assert codes == sorted(set(codes))
-    listed = set(codes)
-    for m in product_maps:
-        assert tuple(sorted(int(r) for r in m @ place)) in listed
-
-
-@settings(deadline=None)
-@given(map_alphabets(), st.integers(0, 2**32 - 1))
-def test_random_starts_are_kept_and_only_relabelled(sizes, seed):
-    u_size, n_states, n_inputs = sizes
+    # exactly one map per class of the full product
     product_maps = full_product_maps(u_size, n_states, n_inputs)
-    starts = np.random.default_rng(seed).dirichlet(np.ones(u_size), size=(len(product_maps), n_states))
-    maps, v = _onto_relabelling_classes(product_maps, starts, n_inputs)
-    assert maps.shape == product_maps.shape
-    for g_in, v_in, g_out, v_out in zip(product_maps, starts, maps, v):
-        # the same (row, column of v) pairs, stably sorted by row
-        pairs_in = sorted(zip(map(tuple, g_in.tolist()), map(tuple, v_in.T.tolist())), key=lambda p: p[0])
-        assert list(zip(map(tuple, g_out.tolist()), map(tuple, v_out.T.tolist()))) == pairs_in
+    assert set(codes) == {tuple(sorted(int(r) for r in m @ place)) for m in product_maps}
 
 
 @st.composite
