@@ -114,6 +114,21 @@ class MemorylessSystem:
         return mutual_information(self.p_us)
 
     @cached_property
+    def s_bounds(self) -> np.ndarray:
+        """inverse_cdf table of the state law."""
+        return inverse_cdf(self.state.probs)
+
+    @cached_property
+    def u_bounds(self) -> np.ndarray:
+        """inverse_cdf table of the codeword symbol law p_U."""
+        return inverse_cdf(self.p_u)
+
+    @cached_property
+    def y_bounds(self) -> np.ndarray:
+        """inverse_cdf table of P(y|u,s), one row per u * |S| + s."""
+        return inverse_cdf(self.p_y_given_us.reshape(self.p_us.size, -1))
+
+    @cached_property
     def p_u_given_y(self) -> np.ndarray:
         """(U,Y) columns P(u|y); proposal law for confusion sampling."""
         py = self.p_y
@@ -206,6 +221,34 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def inverse_cdf(probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table of the pmf rows on probs' last axis: the (m-1)
+    symbol boundaries, boundary axis first, for `draw`.
+
+    Boundary j is the cumulative mass of symbols 0..j, so symbol j is
+    drawn when bound[j-1] <= u < bound[j]; a zero-mass symbol is never
+    drawn, u = 0.0 included. The boundaries at and past a row's last
+    symbol of positive mass are +inf, so a u at or above the rounded
+    total mass falls to that symbol.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    last = np.argmax(cdf == cdf[..., -1:], axis=-1)
+    bounds = np.moveaxis(cdf[..., :-1], -1, 0).copy()
+    bounds[np.arange(bounds.shape[0]).reshape((-1,) + (1,) * last.ndim) >= last] = np.inf
+    return bounds
+
+
+def draw(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from an `inverse_cdf` table, one symbol per
+    uniform: one table row shared by all uniforms, or one per uniform
+    (bounds[:, rows] picks a row per uniform from a table of rows)."""
+    # idx counts the boundaries at or below u
+    idx = np.zeros(np.shape(uniforms), dtype=np.intp)
+    for bound in bounds:
+        idx += uniforms >= bound
+    return idx
+
+
 def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws, one symbol per uniform in [0, 1).
 
@@ -215,24 +258,25 @@ def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     symbol is never drawn, u = 0.0 included; a u at or above the
     rounded total mass falls to the last symbol of positive mass.
     """
-    cdf = np.cumsum(probs, axis=-1)
-    last = np.argmax(cdf == cdf[..., -1:], axis=-1)
-    # idx counts the cdf entries at or below u; the last entry needs no
-    # comparison, as a u at or above it is capped to `last` either way
-    idx = np.zeros(np.shape(uniforms), dtype=np.intp)
-    for j in range(cdf.shape[-1] - 1):
-        idx += uniforms >= cdf[..., j]
-    return np.minimum(idx, last, out=idx)
+    return draw(inverse_cdf(probs), uniforms)
 
 
 def _block_densities(counts, laws, log_rows, draws: int, rng) -> np.ndarray:
     """Monte-Carlo block densities: class i holds counts[i] i.i.d. cells
     with law laws[i] and log row log_rows[i]. Each of the `draws` rows
-    sums every non-empty class's counts_scores, classes drawn in order."""
-    sums = np.zeros(draws)
-    for i in np.flatnonzero(counts):
-        sums += counts_scores(rng.multinomial(int(counts[i]), laws[i], size=draws), log_rows[i])
-    return sums
+    sums every non-empty class's score, classes drawn in order.
+
+    The classes' draws stack class-major, one (draws, cells) matrix per
+    class, so one counts_scores call scores each class with the same
+    product, and sums the classes in the same order, as scoring them
+    one by one; side by side in one (draws, classes*cells) row the sums
+    would round differently.
+    """
+    classes = np.flatnonzero(counts)
+    drawn = np.empty((classes.size, draws, np.shape(laws)[-1]), dtype=np.int64)
+    for j, i in enumerate(classes):
+        drawn[j] = rng.multinomial(int(counts[i]), laws[i], size=draws)
+    return counts_scores(drawn, np.asarray(log_rows)[classes]).sum(axis=0)
 
 
 def estimate_pi(
@@ -539,7 +583,7 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
     scan draws fresh candidates, at most SCAN_CAP; a failed scan of a
     larger bin extrapolates the failure mass of the unscanned entries.
     """
-    n = experiment.n
+    n, n_s = experiment.n, system.state.size
     covering_threshold = math.sqrt(pi["pi1"])
     log_sub = n * (experiment.rate_total - experiment.rate)
     # at least one candidate: the bin holds one entry when rate exceeds
@@ -552,9 +596,9 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
         else:
             rng = stream(experiment.seed, 0x7121, t)
             message = int(rng.integers(codebook.message_count))
-        s_block = sample(system.state.probs, rng.random(n))
+        s_block = draw(system.s_bounds, rng.random(n))
         if codebook is None:
-            candidates = (sample(system.p_u, rng.random(n)) for _ in range(scan_limit))
+            candidates = (draw(system.u_bounds, rng.random(n)) for _ in range(scan_limit))
             l_index, u_block, e1 = _covering_scan(
                 candidates, s_block, system, thresholds, covering_threshold, inner_draws, rng
             )
@@ -567,7 +611,7 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
         else:
             enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
             l_index, u_block, e1 = enc.l_index, enc.u_block, enc.covering_failed
-        y_block = sample(system.p_y_given_us[u_block, s_block], rng.random(n))
+        y_block = draw(system.y_bounds[:, u_block.astype(np.intp) * n_s + s_block], rng.random(n))
         yield t, message, l_index, e1, _atypical(system, u_block, y_block, thresholds.t1), y_block, rng
 
 

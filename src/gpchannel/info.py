@@ -73,13 +73,19 @@ def density_table(joint: np.ndarray) -> np.ndarray:
 def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     """sum_i log_table[cell_i] per row of cell counts (draws, cells).
 
-    A row is -inf when it counts any non-finite cell of the table, so a
-    -inf or undefined entry never mixes with finite ones into NaN.
+    A stack of count matrices (..., draws, cells) takes a table of one
+    row of cells per matrix, in any shape of that size, and scores each
+    matrix against its own row into (..., draws); each matrix gets the
+    same matrix-vector product it would get alone.
+    A row is -inf when it counts any non-finite cell of its table row,
+    so a -inf or undefined entry never mixes with finite ones into NaN.
     """
-    table = np.ravel(log_table)
+    table = np.reshape(log_table, counts.shape[:-2] + counts.shape[-1:] + (1,))
     finite = np.isfinite(table)
-    out = counts @ np.where(finite, table, 0.0)
-    out[counts[:, ~finite].sum(axis=1) > 0] = -np.inf
+    if finite.all():
+        return (counts @ table)[..., 0]
+    out = (counts @ np.where(finite, table, 0.0))[..., 0]
+    out[((counts != 0) & ~np.swapaxes(finite, -1, -2)).any(axis=-1)] = -np.inf
     return out
 
 
@@ -125,8 +131,6 @@ def spectral_rate_estimate(samples: SpectrumSamples, mode: str, delta: float = D
     count = samples.count
     if count < 1.0 / delta:
         raise SampleBudgetError(f"need at least {math.ceil(1/delta)} samples for delta={delta}")
-    ordered = np.sort(samples.samples, kind="stable")
     k = math.ceil(delta * count)  # 1-based order statistic
-    if mode == "inf":
-        return float(ordered[k - 1])
-    return float(ordered[count - k])
+    kth = k - 1 if mode == "inf" else count - k
+    return float(np.partition(samples.samples, kth)[kth])

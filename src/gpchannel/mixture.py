@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .capacity import (
     RESTARTS,
@@ -121,6 +120,25 @@ def _component_tables(mix: MixtureSpec, policy: GPPolicy):
     return cells, log_uy, log_u, log_y, np.log(cw), np.log(sw)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over axis 0 of a real array, bit for bit what
+    scipy.special.logsumexp(a, axis=0) returns: the max term and its m
+    ties stay out of the shifted sum s, the result is
+    log1p(s/m) + log m + max, and a non-finite result (a column whose
+    max is infinite or NaN, or an overflow) is replaced by the direct
+    log(sum(exp(a)))."""
+    top = a.max(axis=0)
+    ties = a == top
+    m = ties.sum(axis=0, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(ties, -np.inf, a) - top).sum(axis=0)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+    return out
+
+
 def mixture_spectrum_demo(
     mix: MixtureSpec,
     policy: GPPolicy,
@@ -175,9 +193,9 @@ def mixture_spectrum_demo(
                 for l in range(l_n)
             ]
         )
-        log_joint = logsumexp(joint_scores, axis=0)
-        log_pu = logsumexp(u_scores, axis=0)
-        log_py = logsumexp(y_scores, axis=0)
+        log_joint = _logsumexp(joint_scores)
+        log_pu = _logsumexp(u_scores)
+        log_py = _logsumexp(y_scores)
         densities[sel] = (log_joint - log_pu - log_py) / n
     finite = np.isfinite(densities)
     return SpectrumSamples(

@@ -130,6 +130,21 @@ def test_acceptance_4_achievability_bound(bsc_system):
           f"({reports[200].rho_n:.3f}/{reports[400].rho_n:.3f}/{reports[800].rho_n:.3f})")
 
 
+def test_acceptance_4_bound_is_informative(bsc_system):
+    """At n = 6000 the rho_n bound is well below 1, so comparing the
+    error against it can fail: acceptance 4's blocklengths leave rho_n
+    at 1.2, 1.03 and 0.86, where it cannot."""
+    n, trials = 6000, 500
+    exp_ = design_experiment(bsc_system, n, 0.02, 0.02, rate=0.7 * bsc_system.i_uy, seed=0, trials=trials)
+    rep = run_experiment(bsc_system, exp_, pi_draws=10_000)
+    assert rep.rho_n < 0.3
+    assert rep.empirical_error <= rep.rho_n + 3 * _sigma(rep.empirical_error, trials)
+    rates = rep.event_rates()
+    assert rates["e3"] <= math.exp(-n * 0.02) + 3 * _sigma(rates["e3"], trials)
+    assert rates["e2_not_e1"] <= math.sqrt(rep.pi1) + 3 * _sigma(rates["e2_not_e1"], trials)
+    print(f"PASS acceptance 4 (informative): error {rep.empirical_error:.3f} below rho_n "
+          f"{rep.rho_n:.3f} at n={n}")
+
 def test_acceptance_5_converse_threshold(bsc_system):
     rate = 1.2 * bsc_system.i_uy
     exp_ = design_experiment(bsc_system, 800, 0.02, 0.02, rate=rate, seed=0, trials=1000)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -317,6 +318,36 @@ class TestRunExperiment:
         rep = run_experiment(system, exp_, mode="implicit", pi_draws=2000)
         assert rep.event_rates()["e3"] <= rep.rho_terms["confusion"]
 
+
+# SHA-256 of the TrialRecords of two small seeded runs on a three-output
+# channel with zero-mass cells. Covering failures, E2 and confusion all
+# fire and the scan positions vary, so every draw of the per-trial path
+# (message, state, candidates, eta, covering extrapolation, Y^n and the
+# confusion estimate) shows in the digest: a change to what a trial
+# draws, or in what order, fails this test and must update the digests
+# on purpose.
+DRAW_ORDER_DIGESTS = {
+    "implicit": "fbcbe0e8719d5ca23ae15b31aac0f6aa40227e948d5c71b23b2da7dc3661bafe",
+    "explicit": "e06fb02d4252ba182e3f5065d1cdff023e781019cffab65e696ca13ab72d39f3",
+}
+
+
+@pytest.mark.parametrize("mode, n, gamma1", [("implicit", 24, 0.05), ("explicit", 12, 0.02)])
+def test_trial_draw_order_is_pinned(mode, n, gamma1):
+    system = MemorylessSystem(
+        Pmf(np.array([0.3, 0.7])),
+        GPPolicy(
+            u_given_s=ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]])),
+            x_map=np.array([[0, 1], [1, 0], [1, 1]]),
+        ),
+        ChannelKernel(np.array([[[0.8, 0.0, 0.2], [0.0, 0.9, 0.1]], [[0.1, 0.6, 0.3], [0.5, 0.0, 0.5]]])),
+    )
+    exp_ = CodingExperiment(n=n, gamma1=gamma1, gamma2=0.02, rate=0.15, rate_total=0.2, seed=7, trials=30)
+    rep = run_experiment(system, exp_, mode=mode, pi_draws=500)
+    assert rep.mode == mode
+    assert all(rate > 0 for rate in rep.event_rates().values())
+    rows = [r.csv_row() for r in rep.trials]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == DRAW_ORDER_DIGESTS[mode]
 
 def test_wilson_interval_limits():
     lo, hi = wilson_interval(0, 100)

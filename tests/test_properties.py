@@ -1,9 +1,11 @@
 """Property tests for the primitives every estimator shares: the
 counts-times-log-table block score, the explicit decoder's type-count
-scores and the E2 test built on it, the inverse-CDF sampler, the GP
-optimizer's enumeration of input maps up to relabelling, the effective
-channel of an input map, the region solver's penalised objective and
-its gradient, and the one check every probability row goes through."""
+scores and the E2 test built on it, the inverse-CDF sampler and the
+table-driven draws of the trial path, the mixture spectrum's
+log-sum-exp, the spectral order statistic, the GP optimizer's
+enumeration of input maps up to relabelling, the effective channel of
+an input map, the region solver's penalised objective and its
+gradient, and the one check every probability row goes through."""
 
 import math
 from unittest import mock
@@ -12,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from gpchannel import kernels
 from gpchannel.capacity import _relabelling_classes
-from gpchannel.coding import MemorylessSystem, _atypical, sample
-from gpchannel.info import counts_scores
+from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sample
+from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
+from gpchannel.mixture import _logsumexp
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
 
@@ -150,6 +154,76 @@ def test_row_sample_in_support(rows, data):
     assert ((out >= 0) & (out < rows.shape[1])).all()
     assert (rows[np.arange(rows.shape[0]), out] > 0).all()
 
+
+def _reference_symbol(row: np.ndarray, u: float) -> int:
+    """The symbol j with cdf[j-1] <= u < cdf[j], capped at the first
+    symbol whose cdf reaches the row's rounded total."""
+    cdf = np.cumsum(row)
+    return min(int((cdf[:-1] <= u).sum()), int(np.flatnonzero(cdf == cdf[-1])[0]))
+
+
+@st.composite
+def table_picks(draw):
+    """pmf rows and (row, uniform) picks, each row also drawn at its
+    rounded total and just below it."""
+    m = draw(st.integers(1, 5))
+    probs = np.array(draw(st.lists(pmf(m), min_size=1, max_size=6)))
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(0.0), st.just(1 - 2**-53))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(probs) - 1), uniform), min_size=1, max_size=40))
+    totals = np.cumsum(probs, axis=1)[:, -1]
+    picks += [(r, min(float(totals[r]), 1 - 2**-53)) for r in range(len(probs))]
+    picks += [(r, float(np.nextafter(totals[r], 0.0))) for r in range(len(probs))]
+    return probs, picks
+
+
+@settings(deadline=None, max_examples=300)
+@given(table_picks())
+# ten cells of 0.1 sum to 1 - 2**-53, the largest uniform: the zero-mass
+# symbol after them must not be drawn there; the second row also starts
+# with a zero-mass symbol that u = 0.0 must skip
+@example((np.array([[0.1] * 10 + [0.0], [0.0] + [0.1] * 10]), [(0, 0.0), (0, 1 - 2**-53), (1, 0.0), (1, 1 - 2**-53)]))
+def test_table_draw_equals_sample_of_gathered_rows(case):
+    probs, picks = case
+    rows = np.array([r for r, _ in picks], dtype=np.intp)
+    u = np.array([x for _, x in picks])
+    got = draw(inverse_cdf(probs)[:, rows], u)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, sample(probs[rows], u))
+    np.testing.assert_array_equal(got, [_reference_symbol(probs[r], x) for r, x in picks])
+    assert (probs[rows, got] > 0).all()
+    # a shared pmf draws the same symbols as one row per uniform
+    np.testing.assert_array_equal(draw(inverse_cdf(probs[0]), u), sample(probs[[0] * u.size], u))
+
+
+_log_terms = st.one_of(
+    st.sampled_from([0.0, -1.5, 2.0, 700.0, -math.inf, math.inf]),  # repeats make ties
+    st.floats(-800.0, 800.0),
+    st.just(-math.inf),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(_log_terms, min_size=m, max_size=m), min_size=1, max_size=5)))
+@example([[-math.inf, 2.0, math.inf]])  # one component
+@example([[-math.inf, 1.0], [-math.inf, 1.0], [-math.inf, 1.0]])  # an all -inf column, a 3-way tie
+@example([[math.inf, 800.0], [-math.inf, 800.0]])  # +inf against -inf, a sum past the float range
+def test_mixture_logsumexp_is_scipys_bit_for_bit(rows):
+    a = np.array(rows, dtype=np.float64)
+    got, want = _logsumexp(a), logsumexp(a, axis=0)
+    assert got.shape == want.shape == a.shape[1:]
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.25]), st.floats(-5.0, 5.0)), min_size=1, max_size=300),
+       st.floats(0.001, 1.0))
+def test_spectral_rate_is_the_sorted_order_statistic(values, delta):
+    assume(len(values) >= 1.0 / delta)
+    samples = SpectrumSamples(samples=np.array(values), n=1)
+    ordered = np.sort(values)
+    k = math.ceil(delta * len(values))
+    assert spectral_rate_estimate(samples, "inf", delta) == ordered[k - 1]
+    assert spectral_rate_estimate(samples, "sup", delta) == ordered[len(values) - k]
 
 @st.composite
 def map_alphabets(draw):
