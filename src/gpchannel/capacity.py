@@ -37,6 +37,10 @@ _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # mode): the uniform law first, then Dirichlet draws
 RESTARTS = 20
 MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
+# Blahut-Arimoto stops when the capacity estimate moves by at most
+# _BA_TOL relative to max(1, estimate), or after _BA_MAX_ITER updates
+_BA_TOL = 1e-9
+_BA_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -63,17 +67,17 @@ def _divergences(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (w * log_ratio).sum(axis=1)
 
 
-def blahut_arimoto(p_y_x: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> tuple[float, np.ndarray]:
+def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray]:
     """Capacity (nats) and maximizing input law of a stateless channel."""
     w = np.asarray(p_y_x, dtype=np.float64)
     r = np.full(w.shape[0], 1.0 / w.shape[0])
     c_prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_BA_MAX_ITER):
         d = _divergences(w, r)
         r_new = r * np.exp(d - d.max())
         r_new /= r_new.sum()
         c = float((r * d).sum())
-        if abs(c - c_prev) <= tol * max(1.0, abs(c)):
+        if abs(c - c_prev) <= _BA_TOL * max(1.0, abs(c)):
             r = r_new
             break
         r = r_new
@@ -129,65 +133,45 @@ def _slog(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, _LOG_FLOOR))
 
 
-def _objective_terms(v, q_list, wg_list_per_k):
+def _objective_terms(v, q, wg):
     """Exact objective min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row,
     with the intermediates its gradient reuses.
 
-    v: (B,S,U); q_list: list of (S,) state pmfs; wg_list_per_k: list over k
-    of (S,B,U,Y) effective kernels. Returns, batch axis first: obj (B,),
-    i1 (B,K,L), i2 (B,L), log a - log p_Y (B,K,L,U,Y), log p_U (B,L,U) and
-    log v (B,S,U), where a is the joint law of (U,Y).
+    v: (B,S,U); q: (L,S) state pmfs; wg: (S,B,K,U,Y) effective kernels.
+    Returns, batch axis first: obj (B,), i1 (B,K,L), i2 (B,L),
+    log a - log p_Y (B,K,L,U,Y), log p_U (B,L,U) and log v (B,S,U), where
+    a is the joint law of (U,Y).
     """
     log_v = _slog(v)
-    qv_by_l, log_pu, i2 = [], [], []
-    for q in q_list:
-        qv = q[None, :, None] * v
-        lpu = _slog(qv.sum(axis=1))
-        i2.append(np.where(qv > 0, qv * (log_v - lpu[:, None, :]), 0.0).sum(axis=(1, 2)))
-        qv_by_l.append(qv)
-        log_pu.append(lpu)
-    i1, dens = [], []
-    for wg in wg_list_per_k:
-        for qv, lpu in zip(qv_by_l, log_pu):
-            # products summed over s in order, with no BLAS call or fused
-            # multiply-add: a row rounds the same whatever batch it is in
-            a = qv[:, 0, :, None] * wg[0]
-            for s in range(1, wg.shape[0]):
-                a = a + qv[:, s, :, None] * wg[s]
-            log_a, log_py = _slog(a), _slog(a.sum(axis=1))[:, None, :]
-            i1.append(np.where(a > 0, a * (log_a - lpu[:, :, None] - log_py), 0.0).sum(axis=(1, 2)))
-            dens.append(log_a - log_py)
-    b, k_n, l_n = v.shape[0], len(wg_list_per_k), len(q_list)
-    i1 = np.stack(i1, axis=1).reshape(b, k_n, l_n)
-    i2 = np.stack(i2, axis=1)
-    obj = i1.reshape(b, -1).min(axis=1) - i2.max(axis=1)
-    dens = np.stack(dens, axis=1).reshape((b, k_n, l_n) + dens[0].shape[1:])
-    return obj, i1, i2, dens, np.stack(log_pu, axis=1), log_v
+    qv = q[None, :, :, None] * v[:, None]  # (B,L,S,U)
+    log_pu = _slog(qv.sum(axis=2))
+    i2 = np.where(qv > 0, qv * (log_v[:, None] - log_pu[:, :, None, :]), 0.0).sum(axis=(2, 3))
+    # products summed over s in order, with no BLAS call or fused
+    # multiply-add: a row rounds the same whatever batch it is in
+    a = sum(qv[:, None, :, s, :, None] * wg[s][:, :, None] for s in range(wg.shape[0]))
+    log_a, log_py = _slog(a), _slog(a.sum(axis=3))[:, :, :, None, :]
+    i1 = np.where(a > 0, a * (log_a - log_pu[:, None, :, :, None] - log_py), 0.0).sum(axis=(3, 4))
+    obj = i1.min(axis=(1, 2)) - i2.max(axis=1)
+    return obj, i1, i2, log_a - log_py, log_pu, log_v
 
 
-def _kernels_by_state(channels, g: np.ndarray) -> list[np.ndarray]:
-    """Effective kernels of the maps g (B,U,S) on each channel (S,X,Y), as
-    the contiguous (S,B,U,Y) arrays _objective_terms reads one state's
-    (B,U,Y) slab at a time."""
-    return [np.ascontiguousarray(effective_kernel(np.asarray(w), g).transpose(2, 0, 1, 3)) for w in channels]
+def _kernels_by_state(channels, g: np.ndarray) -> np.ndarray:
+    """Effective kernels of the maps g (B,U,S) on the channels (K,S,X,Y), as
+    the (S,B,K,U,Y) array _objective_terms reads one state's contiguous
+    (B,K,U,Y) slab at a time."""
+    return np.ascontiguousarray(effective_kernel(np.stack(channels, axis=2), g).transpose(2, 0, 3, 1, 4))
 
 
-def _gradient(weights, wg_list_per_k, lam, i2, dens, log_pu, log_v):
+def _gradient(weights, wg, lam, i2, dens, log_pu, log_v):
     """Ascent direction of sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l),
     the max at its active component, from one evaluation's _objective_terms
-    intermediates. weights[l] is state law l divided by the entropic step's
-    per-state scale, so one channel and one state law give
+    intermediates. weights (L,S) are the state laws divided by the entropic
+    step's per-state scale, so one channel and one state law give
     sum_y W_g log P(u|y) - log v at every state of positive probability."""
-    active2 = i2.argmax(axis=1)
-    grad = np.zeros_like(log_v)
-    for k, wg in enumerate(wg_list_per_k):
-        for li, w in enumerate(weights):
-            inner = np.einsum("sbuy,buy->bsu", wg, dens[:, k, li])
-            grad += lam[:, k, li, None, None] * w[None, :, None] * (inner - log_pu[:, li, None, :])
-    for li, w in enumerate(weights):
-        term = w[None, :, None] * (log_v - log_pu[:, li, None, :])
-        grad -= np.where((active2 == li)[:, None, None], term, 0.0)
-    return grad
+    inner = np.einsum("sbkuy,bkluy->bklsu", wg, dens) - log_pu[:, None, :, None, :]
+    grad = (lam[:, :, :, None, None] * weights[:, :, None] * inner).sum(axis=(1, 2))
+    active = i2.argmax(axis=1)
+    return grad - weights[active][:, :, None] * (log_v - log_pu[np.arange(len(active)), active][:, None, :])
 
 
 def _weighted(terms, lam) -> np.ndarray:
@@ -261,7 +245,8 @@ def optimize_gp_policy(
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
-    n_states = states[0].size
+    states = np.asarray(states, dtype=np.float64)
+    n_states = states.shape[1]
     n_inputs = channels[0].shape[1]
     g_count = n_inputs ** (u_size * n_states)
     exhaustive = g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
@@ -282,19 +267,19 @@ def optimize_gp_policy(
         v0 = np.concatenate([v0, np.asarray(cand_v, dtype=np.float64)[None]], axis=0)
     b = g_rep.shape[0]
 
-    wg_per_k = _kernels_by_state(channels, g_rep)
-    rho = np.max(states, axis=0)
-    weights = [q / np.where(rho > 0, rho, 1.0) for q in states]
+    wg = _kernels_by_state(channels, g_rep)
+    rho = states.max(axis=0)
+    weights = states / np.where(rho > 0, rho, 1.0)
     lam = np.full((b, len(channels), len(states)), 1.0 / (len(channels) * len(states)))
     v = v0
     step = np.ones(b)
-    terms = _objective_terms(v, states, wg_per_k)
+    terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
     for _ in range(iters):
-        x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg_per_k, lam, *terms[2:]), -np.inf)
+        x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg, lam, *terms[2:]), -np.inf)
         cand = v * np.exp(x - x.max(axis=2, keepdims=True))
         cand /= cand.sum(axis=2, keepdims=True)
-        cterms = _objective_terms(cand, states, wg_per_k)
+        cterms = _objective_terms(cand, states, wg)
         accept = _weighted(cterms, lam) >= _weighted(terms, lam) - 1e-15
         v = np.where(accept[:, None, None], cand, v)
         terms = tuple(np.where(accept.reshape((b,) + (1,) * (t.ndim - 1)), c, t) for c, t in zip(cterms, terms))
@@ -331,14 +316,8 @@ def optimize_gp_policy(
 
 def _averaged_channel_candidate(states, channels, u_size, n_inputs):
     """Feasible policy ignoring the state: best input law of the averaged channel."""
-    w_avg = np.zeros(channels[0].shape[1:])
-    total = 0
-    for w in channels:
-        for q in states:
-            w_avg += np.einsum("s,sxy->xy", q, np.asarray(w))
-            total += 1
-    w_avg /= total
-    _, r = blahut_arimoto(w_avg)
+    w_avg = sum(np.einsum("s,sxy->xy", q, np.asarray(w)) for w in channels for q in states)
+    _, r = blahut_arimoto(w_avg / (len(channels) * len(states)))
     n_states = states[0].size
     m = min(u_size, n_inputs)
     v = np.zeros((n_states, u_size))

@@ -257,15 +257,11 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
     lines += [f"rho_term.{k}={v:.6g}" for k, v in report.rho_terms.items()]
     lines += [f"event_rate.{k}={v:.6g}" for k, v in rates.items()]
     lines += [
-        f"error_within_bound={report.empirical_error <= report.rho_n + 3 * _bern_sigma(report.empirical_error, experiment.trials)}",
+        f"error_within_bound={report.error_within_bound}",
         f"converse_mode={report.converse_mode}",
     ]
     _write_text(out / "summary.txt", header, lines)
     click.echo(f"wrote {out / 'summary.txt'}")
-
-
-def _bern_sigma(p: float, n: int) -> float:
-    return (max(p * (1 - p), 1e-12) / n) ** 0.5
 
 
 @main.command()

@@ -211,6 +211,12 @@ def design_experiment(
     )
 
 
+def bernoulli_sigma(p: float, n: int) -> float:
+    """Standard error of a Bernoulli frequency p over n draws, floored
+    away from 0 so that a frequency of 0 or 1 still has a margin."""
+    return math.sqrt(max(p * (1 - p), 1e-12) / n)
+
+
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
     if total <= 0:
         raise ValidationError("zero draws")
@@ -327,7 +333,7 @@ def eta(
     laws = system.p_y_given_us.reshape(counts.size, -1)
     sums = _block_densities(counts, laws, np.repeat(system.d_uy, n_s, axis=0), inner_draws, rng)
     est = int((sums < u_block.size * thresholds.t1).sum()) / inner_draws
-    return est, math.sqrt(max(est * (1 - est), 1e-12) / inner_draws)
+    return est, bernoulli_sigma(est, inner_draws)
 
 
 def eta_exact(
@@ -529,6 +535,11 @@ class ExperimentReport:
             "e3": sum(r.e3 for r in self.trials) / t,
         }
 
+    @property
+    def error_within_bound(self) -> bool:
+        """The empirical error is at most rho_n plus three standard errors."""
+        return self.empirical_error <= self.rho_n + 3 * bernoulli_sigma(self.empirical_error, len(self.trials))
+
 
 def rho_bound(pi1: float, pi2: float, n: int, gamma1: float, gamma2: float) -> dict:
     terms = {
@@ -660,14 +671,12 @@ def run_experiment(
     system: MemorylessSystem,
     experiment: CodingExperiment,
     *,
-    thresholds: TypicalityThresholds | None = None,
     mode: str = "auto",
     inner_draws: int = 200,
     pi_draws: int = 10_000,
 ) -> ExperimentReport:
     """End-to-end trials plus the rho_n bound from estimated pi1/pi2."""
-    if thresholds is None:
-        thresholds = default_thresholds(system, experiment.gamma1, experiment.gamma2)
+    thresholds = default_thresholds(system, experiment.gamma1, experiment.gamma2)
     pi = estimate_pi(system, experiment.n, pi_draws, thresholds, seed=experiment.seed)
     refusal = _explicit_refusal(experiment)
     if mode == "auto":

@@ -58,21 +58,22 @@ class MixtureSpec:
             raise DimensionError("state components mismatch the channel state alphabet")
 
     @property
-    def channel_support(self) -> list[ChannelKernel]:
-        return [ch for w, ch in self.channel_components if w > _WEIGHT_TOL]
-
-    @property
-    def state_support(self) -> list[Pmf]:
-        return [q for w, q in self.state_components if w > _WEIGHT_TOL]
+    def support(self) -> tuple[np.ndarray, tuple[ChannelKernel, ...], np.ndarray, tuple[Pmf, ...]]:
+        """The positive-weight components: channel weights (K,) and kernels,
+        then state weights (L,) and laws."""
+        (cw, chans), (sw, states) = (
+            zip(*[(w, c) for w, c in comps if w > _WEIGHT_TOL])
+            for comps in (self.channel_components, self.state_components)
+        )
+        return np.array(cw), chans, np.array(sw), states
 
 
 def mixed_lower_bound(mix: MixtureSpec, policy: GPPolicy) -> float:
     """Exact min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) for a shared policy:
     the optimizer's own objective at the policy's (v, g) row."""
-    g = policy.x_map[None]
-    wg_per_k = _kernels_by_state([ch.w for ch in mix.channel_support], g)
-    obj = _objective_terms(policy.u_given_s.rows[None], [q.probs for q in mix.state_support], wg_per_k)[0]
-    return float(obj[0])
+    _, chans, _, states = mix.support
+    wg = _kernels_by_state([ch.w for ch in chans], policy.x_map[None])
+    return float(_objective_terms(policy.u_given_s.rows[None], np.array([q.probs for q in states]), wg)[0][0])
 
 
 def maximize_mixed_lower_bound(
@@ -85,8 +86,8 @@ def maximize_mixed_lower_bound(
 ) -> CapacityResult:
     """Best shared policy for the mixed lower bound (lower bound only:
     no matching converse is computed for proper mixtures)."""
-    chans = [ch.w for ch in mix.channel_support]
-    states = [q.probs for q in mix.state_support]
+    _, chans, _, states = mix.support
+    chans, states = [ch.w for ch in chans], [q.probs for q in states]
     n_inputs = chans[0].shape[1]
     n_states = states[0].size
     if u_size is None:
@@ -106,15 +107,13 @@ def maximize_mixed_lower_bound(
 def _component_tables(mix: MixtureSpec, policy: GPPolicy):
     """Per-component (u,y) cell probabilities and log tables.
 
-    Returns (cells (K,L,U,Y) joint laws, log_uy, log_u (L,U), log_y
-    (K,L,Y), log weight vectors). Zero cells map to -inf logs.
+    Returns (cells (K,L,U,Y) joint laws, log_uy (K,L,U*Y), log_u (L,U),
+    log_y (K,L,Y), log weight vectors). Zero cells map to -inf logs.
     """
-    states = mix.state_support
-    cw = np.array([w for w, _ in mix.channel_components if w > _WEIGHT_TOL])
-    sw = np.array([w for w, _ in mix.state_components if w > _WEIGHT_TOL])
-    cells = np.array([[MemorylessSystem(q, policy, ch).p_uy for q in states] for ch in mix.channel_support])
+    cw, chans, sw, states = mix.support
+    cells = np.array([[MemorylessSystem(q, policy, ch).p_uy for q in states] for ch in chans])
     with np.errstate(divide="ignore"):
-        log_uy = np.log(cells)
+        log_uy = np.log(cells.reshape(cells.shape[:2] + (-1,)))
         log_u = np.log(cells.sum(axis=3)[0])  # u-marginal depends on l only
         log_y = np.log(cells.sum(axis=2))
     return cells, log_uy, log_u, log_y, np.log(cw), np.log(sw)
@@ -137,6 +136,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(out)
         out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
     return out
+
+
+def _scores(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
+    """Scores (..., m) of the count rows (m, cells) against every table
+    row of log_tables (..., cells), in one counts_scores call."""
+    return counts_scores(np.broadcast_to(counts, log_tables.shape[:-1] + counts.shape), log_tables)
 
 
 def mixture_spectrum_demo(
@@ -173,30 +178,13 @@ def mixture_spectrum_demo(
             continue
         ki, li = divmod(pair, l_n)
         counts = rng.multinomial(n, cells[ki, li].ravel(), size=sel.size)
-        # conditional score log P(y|u) = log P(u,y) - log P(u), per component
-        joint_scores = np.stack(
-            [
-                counts_scores(counts, log_uy[k, l]) + log_cw[k] + log_sw[l]
-                for k in range(k_n)
-                for l in range(l_n)
-            ]
-        )  # (KL, m): log of weighted block joint P(u,y) per component
-        u_counts = counts.reshape(-1, n_u, n_y).sum(axis=2)
-        u_scores = np.stack(
-            [counts_scores(u_counts, log_u[l]) + log_sw[l] for l in range(l_n)]
-        )
-        y_counts = counts.reshape(-1, n_u, n_y).sum(axis=1)
-        y_scores = np.stack(
-            [
-                counts_scores(y_counts, log_y[k, l]) + log_cw[k] + log_sw[l]
-                for k in range(k_n)
-                for l in range(l_n)
-            ]
-        )
-        log_joint = _logsumexp(joint_scores)
-        log_pu = _logsumexp(u_scores)
-        log_py = _logsumexp(y_scores)
-        densities[sel] = (log_joint - log_pu - log_py) / n
+        blocks = counts.reshape(-1, n_u, n_y)
+        # log of the weighted block laws P(u,y) and P(y) of each pair (k,l)
+        # and P(u) of each l, one stacked score per family
+        log_joint = (_scores(counts, log_uy) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
+        log_pu = _scores(blocks.sum(axis=2), log_u) + log_sw[:, None]
+        log_py = (_scores(blocks.sum(axis=1), log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
+        densities[sel] = (_logsumexp(log_joint) - _logsumexp(log_pu) - _logsumexp(log_py)) / n
     finite = np.isfinite(densities)
     return SpectrumSamples(
         samples=densities[finite],

@@ -110,15 +110,17 @@ class TestMaximize:
         assert mixed.value == pytest.approx(direct.value, abs=1e-6)
 
     def test_bound_of_optimum_is_optimizer_value(self):
-        # the bound and the optimizer evaluate one objective, so they agree bit for bit
-        rng = stream(0, 31)
-        for _ in range(20):
-            mix = MixtureSpec(
-                tuple((w, ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))) for w in (0.4, 0.6)),
-                ((1.0, Pmf(rng.dirichlet(np.ones(2)))),),
-            )
-            res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, iters=60, seed=1)
-            assert max(mixed_lower_bound(mix, res.policy), 0.0) == res.value
+        # the bound and the optimizer evaluate one objective, so they agree
+        # bit for bit, also with two state laws, where the max over l is live
+        for state_weights, key in (((1.0,), 31), ((0.3, 0.7), 32)):
+            rng = stream(0, key)
+            for _ in range(20):
+                mix = MixtureSpec(
+                    tuple((w, ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))) for w in (0.4, 0.6)),
+                    tuple((w, Pmf(rng.dirichlet(np.ones(2)))) for w in state_weights),
+                )
+                res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, iters=60, seed=1)
+                assert max(mixed_lower_bound(mix, res.policy), 0.0) == res.value
 
     @pytest.mark.parametrize("eps", [0.1, 0.3])
     def test_z_channel_and_mirror_meet_at_the_kink(self, eps, uniform_state):

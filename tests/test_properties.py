@@ -3,7 +3,8 @@ counts-times-log-table block score, the explicit decoder's type-count
 scores and the E2 test built on it, the inverse-CDF sampler and the
 table-driven draws of the trial path, the mixture spectrum's
 log-sum-exp, the spectral order statistic, the GP optimizer's
-enumeration of input maps up to relabelling, the effective channel of
+enumeration of input maps up to relabelling, its objective and gradient
+over batch rows and component pairs, the effective channel of
 an input map, the region solver's penalised objective and its
 gradient, and the one check every probability row goes through."""
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gpchannel import kernels
-from gpchannel.capacity import _relabelling_classes
+from gpchannel.capacity import _gradient, _kernels_by_state, _objective_terms, _relabelling_classes
 from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sample
 from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
 from gpchannel.mixture import _logsumexp
@@ -269,6 +270,68 @@ def test_effective_kernel_batch_matches_per_map_and_loop(case):
         np.testing.assert_array_equal(effective_kernel(w, g), wg)
         for u, s in np.ndindex(g.shape):
             np.testing.assert_array_equal(wg[u, s], w[s, g[u, s]])
+
+
+@st.composite
+def objective_batch(draw, k_n, l_n, batch=7, n_s=3):
+    """(v (B,S,U), state laws (L,S), channels (K,S,X,Y), maps (B,U,S)),
+    with zero-mass cells in every table."""
+    n_x, n_y, n_u = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+
+    def rows(size, count):
+        return np.array([draw(pmf(size)) for _ in range(count)])
+
+    v = rows(n_u, batch * n_s).reshape(batch, n_s, n_u)
+    channels = rows(n_y, k_n * n_s * n_x).reshape(k_n, n_s, n_x, n_y)
+    maps = np.array(draw(st.lists(st.integers(0, n_x - 1), min_size=batch * n_u * n_s, max_size=batch * n_u * n_s)))
+    return v, rows(n_s, l_n), channels, maps.reshape(batch, n_u, n_s)
+
+
+@pytest.mark.parametrize("k_n, l_n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_objective_terms_round_the_same_alone_and_in_a_batch(k_n, l_n, data):
+    # the optimizer scores a row inside a batch of hundreds and
+    # mixed_lower_bound scores it alone; both must read the same bits
+    v, states, channels, maps = data.draw(objective_batch(k_n, l_n))
+    batch = _objective_terms(v, states, _kernels_by_state(channels, maps))
+    for b in range(len(v)):
+        alone = _objective_terms(v[b : b + 1], states, _kernels_by_state(channels, maps[b : b + 1]))
+        for got, want in zip(alone[:3], batch[:3]):  # obj, I1, I2
+            assert got[0].tobytes() == want[b].tobytes()
+
+
+def _gradient_by_pair(weights, wg, lam, i2, dens, log_pu, log_v):
+    """_gradient as one accumulation per component pair (k, l), the
+    reference its array form must match bit for bit."""
+    grad = np.zeros_like(log_v)
+    for k, l in np.ndindex(lam.shape[1:]):
+        inner = np.einsum("sbuy,buy->bsu", np.ascontiguousarray(wg[:, :, k]), dens[:, k, l])
+        grad += lam[:, k, l, None, None] * weights[l][None, :, None] * (inner - log_pu[:, l, None, :])
+    active = i2.argmax(axis=1)
+    for l, w in enumerate(weights):
+        grad -= np.where((active == l)[:, None, None], w[None, :, None] * (log_v - log_pu[:, l, None, :]), 0.0)
+    return grad
+
+
+@pytest.mark.parametrize("k_n, l_n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_objective_and_gradient_match_each_component_pair(k_n, l_n, data):
+    v, states, channels, maps = data.draw(objective_batch(k_n, l_n))
+    wg = _kernels_by_state(channels, maps)
+    terms = _objective_terms(v, states, wg)
+    for k, l in np.ndindex(k_n, l_n):
+        _, i1, i2, dens, log_pu, _ = _objective_terms(v, states[l : l + 1], wg[:, :, k : k + 1])
+        assert i1[:, 0, 0].tobytes() == terms[1][:, k, l].tobytes()
+        assert i2[:, 0].tobytes() == terms[2][:, l].tobytes()
+        assert dens[:, 0, 0].tobytes() == terms[3][:, k, l].tobytes()
+        assert log_pu[:, 0].tobytes() == terms[4][:, l].tobytes()
+    lam = np.array([data.draw(pmf(k_n * l_n)) for _ in v]).reshape(len(v), k_n, l_n)
+    rho = states.max(axis=0)
+    weights = states / np.where(rho > 0, rho, 1.0)
+    got = _gradient(weights, wg, lam, *terms[2:])
+    assert got.tobytes() == _gradient_by_pair(weights, wg, lam, *terms[2:]).tobytes()
 
 
 @st.composite
