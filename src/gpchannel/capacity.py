@@ -36,6 +36,7 @@ _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # GP optimizer starts per relabelling class (per sampled map in heuristic
 # mode): the uniform law first, then Dirichlet draws
 RESTARTS = 20
+ITERATIONS = 200  # entropic steps each start row of a GP optimizer solve takes
 MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
 # Blahut-Arimoto stops when the capacity estimate moves by at most
 # _BA_TOL relative to max(1, estimate), or after _BA_MAX_ITER updates
@@ -219,7 +220,6 @@ def optimize_gp_policy(
     u_size: int,
     *,
     restarts: int = RESTARTS,
-    iters: int = 200,
     seed: int = 0,
     candidates: tuple = (),
 ):
@@ -228,18 +228,19 @@ def optimize_gp_policy(
     states: state pmfs indexed by l; channels: kernels (S,X,Y) indexed by
     k. Returns (value, v, g, diagnostics). The search is exhaustive over
     relabelling classes of maps when the full product |X|^(|U||S|) allows
-    (at most 10^6 maps, alphabets at most 4), else over a seeded sample of
-    maps. Each class or sampled map gets `restarts` starts: the uniform
-    law, then Dirichlet draws. Candidates are (v, g) pairs entered as
-    further starts.
+    (at most 10^6 maps, alphabets at most 4) or when there are no more
+    classes than the _HEURISTIC_MAPS maps a sample would draw, else over
+    a seeded sample of maps. Each class or sampled map gets `restarts`
+    starts: the uniform law, then Dirichlet draws. Candidates are (v, g)
+    pairs entered as further starts.
 
-    Each iteration takes the entropic step v <- v exp(step grad / rho),
-    rows renormalised, on the weighted objective sum_{k,l} lam_kl
-    I(U_l;Y_kl) - max_l I(U_l;S_l), with rho(s) = max_l P_l(s). With one
-    channel and one state law, step 1 is the closed-form update
-    v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y). A step that lowers the
-    weighted objective is refused and halved; an accepted one grows the
-    step up to 2. Each row's weights then move toward its worst channel
+    Each of the ITERATIONS iterations takes the entropic step
+    v <- v exp(step grad / rho), rows renormalised, on the weighted
+    objective sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l), with
+    rho(s) = max_l P_l(s). With one channel and one state law, step 1 is
+    the closed-form update v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y). A
+    step that lowers the weighted objective is refused and halved; an
+    accepted one grows the step up to 2. Each row's weights then move toward its worst channel
     components, lam <- lam exp(-_ETA (I1 - min I1)) renormalised, and the
     row keeps the best exact objective it has reached.
     """
@@ -249,7 +250,10 @@ def optimize_gp_policy(
     n_states = states.shape[1]
     n_inputs = channels[0].shape[1]
     g_count = n_inputs ** (u_size * n_states)
-    exhaustive = g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
+    class_count = math.comb(n_inputs**n_states + u_size - 1, u_size)
+    exhaustive = class_count <= _HEURISTIC_MAPS or (
+        g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
+    )
     rng = stream(seed, 0xC0DE)
     if exhaustive:
         g_tables = _relabelling_classes(u_size, n_states, n_inputs)
@@ -275,7 +279,7 @@ def optimize_gp_policy(
     step = np.ones(b)
     terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
-    for _ in range(iters):
+    for _ in range(ITERATIONS):
         x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg, lam, *terms[2:]), -np.inf)
         cand = v * np.exp(x - x.max(axis=2, keepdims=True))
         cand /= cand.sum(axis=2, keepdims=True)
@@ -304,11 +308,11 @@ def optimize_gp_policy(
         ]
         best = near[min(range(near.size), key=lambda j: keys[j])]
     diagnostics = {
+        "u_size": u_size,
         "restarts": restarts,
-        "iterations": iters,
+        "iterations": ITERATIONS,
         "batch": b,
         "top_two_gap": _top_two_gap(obj, v, g_rep, best),
-        "exhaustive_g": exhaustive,
         "heuristic_warning": not exhaustive,
     }
     return float(obj[best]), v[best], g_rep[best], diagnostics
@@ -334,7 +338,6 @@ def gp_capacity_dm(
     u_size: int | None = None,
     *,
     restarts: int = RESTARTS,
-    iters: int = 200,
     seed: int = 0,
 ) -> CapacityResult:
     """Capacity with the state known noncausally at the encoder only."""
@@ -346,14 +349,11 @@ def gp_capacity_dm(
         raise ValidationError("u_size must be >= 1")
     cand = [_averaged_channel_candidate([state.probs], [channel.w], u_size, channel.n_inputs)]
     value, v, g, diag = optimize_gp_policy(
-        [state.probs], [channel.w], u_size,
-        restarts=restarts, iters=iters, seed=seed, candidates=tuple(cand),
+        [state.probs], [channel.w], u_size, restarts=restarts, seed=seed, candidates=tuple(cand)
     )
     value = max(value, 0.0)
     cap = math.log(channel.n_outputs)
     policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
-    diag = dict(diag)
-    diag["u_size"] = u_size
     # I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault
     diag["value_clipped"] = value > cap
     value = min(value, cap)

@@ -166,9 +166,6 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
         lines = [
             f"liminf_estimate_nats={result['liminf_estimate']:.12g}",
             f"analytic_value_nats={result['analytic_value']:.12g}",
-            # the closed form (interleaved_capacity) blends the same three
-            # constituent capacities the Cesaro path solved, in the same order
-            f"closed_form_nats={result['analytic_value']:.12g}",
         ]
         partial = result["partial_averages"]
         _write_csv(

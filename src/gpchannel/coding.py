@@ -376,7 +376,6 @@ class Codebook:
     words: np.ndarray  # (total, n) auxiliary symbols, one byte each up to 256 symbols
     subcodebook_size: int
     message_count: int
-    seed: int
 
     def bin_range(self, message: int) -> tuple[int, int]:
         lo = message * self.subcodebook_size
@@ -406,12 +405,7 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
     rows = max(1, _DRAW_CELLS // experiment.n)
     for lo in range(0, total, rows):
         words[lo : lo + rows] = sample(p_u, rng.random(words[lo : lo + rows].shape))
-    return Codebook(
-        words=words,
-        subcodebook_size=experiment.subcodebook_size,
-        message_count=experiment.message_count,
-        seed=experiment.seed,
-    )
+    return Codebook(words=words, subcodebook_size=experiment.subcodebook_size, message_count=experiment.message_count)
 
 
 @dataclass(frozen=True)

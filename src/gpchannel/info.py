@@ -99,8 +99,6 @@ class SpectrumSamples:
     """
 
     samples: np.ndarray
-    n: int
-    seed: int = 0
     tail_infinite: int = 0
 
     def __post_init__(self):

@@ -29,18 +29,15 @@ def codebook_scores(table: np.ndarray, codewords: np.ndarray, y_blocks: np.ndarr
     """Density scores of output blocks against every codeword row.
 
     table is the (U, Y) per-symbol log table, codewords (N, n) symbols
-    below U and y_blocks one block (n,) or a stack (T, n) of symbols
-    below Y. Returns (N,) scores for one block, (T, N) for a stack; a
-    score is -inf when its pair counts a non-finite table cell.
+    below U and y_blocks a stack (T, n) of symbols below Y. Returns
+    (T, N) scores; a score is -inf when its pair counts a non-finite
+    table cell.
     """
-    y = np.asarray(y_blocks)
-    single = y.ndim == 1
-    y = np.atleast_2d(y)
     n_u, n_y = table.shape
-    t, n = y.shape
+    t, n = y_blocks.shape
     count_type = np.float32 if n < 2**24 else np.float64
     # (n, T*Y): column t*Y + y flags the positions where block t reads y
-    y_hot = (y.T[:, :, None] == np.arange(n_y)).astype(count_type).reshape(n, t * n_y)
+    y_hot = (y_blocks.T[:, :, None] == np.arange(n_y)).astype(count_type).reshape(n, t * n_y)
     symbols = np.arange(n_u, dtype=codewords.dtype)[:, None, None]
     rows = max(1, _CHUNK_ELEMENTS // (n_u * max(n, t * n_y)))
     out = np.empty((t, codewords.shape[0]))
@@ -51,4 +48,4 @@ def codebook_scores(table: np.ndarray, codewords: np.ndarray, y_blocks: np.ndarr
         # (U*r, T*Y) counts, reordered to one (u, y) count row per (block, codeword)
         counts = (planes @ y_hot).reshape(n_u, r, t, n_y).transpose(2, 1, 0, 3).reshape(t * r, n_u * n_y)
         out[:, lo : lo + r] = counts_scores(counts, table).reshape(t, r)
-    return out[0] if single else out
+    return out

@@ -81,7 +81,6 @@ def maximize_mixed_lower_bound(
     u_size: int | None = None,
     *,
     restarts: int = RESTARTS,
-    iters: int = 200,
     seed: int = 0,
 ) -> CapacityResult:
     """Best shared policy for the mixed lower bound (lower bound only:
@@ -95,12 +94,9 @@ def maximize_mixed_lower_bound(
     if u_size < 1:
         raise ValidationError("u_size must be >= 1")
     cand = [_averaged_channel_candidate(states, chans, u_size, n_inputs)]
-    value, v, g, diag = optimize_gp_policy(
-        states, chans, u_size, restarts=restarts, iters=iters, seed=seed, candidates=tuple(cand)
-    )
+    value, v, g, diag = optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed, candidates=tuple(cand))
     policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
-    diag = dict(diag)
-    diag.update(u_size=u_size, lower_bound_only=len(chans) > 1 or len(states) > 1)
+    diag["lower_bound_only"] = len(chans) > 1 or len(states) > 1
     return CapacityResult(value=max(value, 0.0), policy=policy, diagnostics=diag)
 
 
@@ -186,9 +182,4 @@ def mixture_spectrum_demo(
         log_py = (_scores(blocks.sum(axis=1), log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
         densities[sel] = (_logsumexp(log_joint) - _logsumexp(log_pu) - _logsumexp(log_py)) / n
     finite = np.isfinite(densities)
-    return SpectrumSamples(
-        samples=densities[finite],
-        n=n,
-        seed=seed,
-        tail_infinite=int((~finite).sum()),
-    )
+    return SpectrumSamples(samples=densities[finite], tail_infinite=int((~finite).sum()))

@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf
+
+# property examples run numpy solves whose time varies with the host, so
+# none runs under Hypothesis's per-example deadline
+settings.register_profile("gpchannel", deadline=None)
+settings.load_profile("gpchannel")
 
 
 def bsc_matrix(p: float) -> np.ndarray:

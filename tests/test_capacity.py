@@ -69,32 +69,33 @@ class TestBlahutArimoto:
 class TestGPCapacity:
     def test_pure_noise_zero(self, uniform_state):
         w = np.full((2, 2, 2), 0.5)
-        res = gp_capacity_dm(ChannelKernel(w), uniform_state, u_size=3, restarts=4, iters=80)
+        res = gp_capacity_dm(ChannelKernel(w), uniform_state, u_size=3, restarts=4)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
     def test_clean_channel_ln2(self, uniform_state):
-        res = gp_capacity_dm(state_blind_bsc(0.0), uniform_state, u_size=3, restarts=4, iters=80)
+        res = gp_capacity_dm(state_blind_bsc(0.0), uniform_state, u_size=3, restarts=4)
         assert res.value == pytest.approx(math.log(2), abs=1e-6)
 
     def test_state_blind_bsc_matches_ba(self, uniform_state):
-        res = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=3, restarts=6, iters=150)
+        res = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=3, restarts=6)
         assert res.value == pytest.approx(bin_capacity(0.1), abs=1e-4)
 
     def test_state_flip_reaches_ln2(self, uniform_state):
-        res = gp_capacity_dm(state_flip_bsc(0.0), uniform_state, u_size=3, restarts=6, iters=150)
+        res = gp_capacity_dm(state_flip_bsc(0.0), uniform_state, u_size=3, restarts=6)
         assert res.value == pytest.approx(math.log(2), abs=1e-3)
 
     def test_sanity_cap_and_nonnegativity(self, uniform_state):
-        res = gp_capacity_dm(state_flip_bsc(0.3), uniform_state, u_size=3, restarts=4, iters=80)
+        res = gp_capacity_dm(state_flip_bsc(0.3), uniform_state, u_size=3, restarts=4)
         assert 0.0 <= res.value <= math.log(2) + 1e-12
 
-    def test_one_step_is_closed_form_update(self):
+    def test_one_step_is_closed_form_update(self, monkeypatch):
         # with one channel and one state law, the first step from the uniform
         # law is v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y)
+        monkeypatch.setattr(capacity, "ITERATIONS", 1)
         rng = stream(0, 24)
         q = rng.dirichlet(np.ones(2))
         w = rng.dirichlet(np.ones(2), size=(2, 2))
-        _, v, g, _ = optimize_gp_policy([q], [w], 5, restarts=1, iters=1)
+        _, v, g, _ = optimize_gp_policy([q], [w], 5, restarts=1)
         wg = effective_kernel(w, g)  # (U,S,Y)
         joint = np.einsum("s,usy->uy", q, wg) / 5
         log_post = np.log(joint / joint.sum(axis=0))
@@ -110,14 +111,14 @@ class TestGPCapacity:
             return value + 1.0, v, g, diag
 
         monkeypatch.setattr(capacity, "optimize_gp_policy", inflated)
-        res = gp_capacity_dm(state_flip_bsc(0.1), uniform_state, u_size=2, restarts=1, iters=20)
+        res = gp_capacity_dm(state_flip_bsc(0.1), uniform_state, u_size=2, restarts=1)
         assert res.value == math.log(2)
         assert res.diagnostics["value_clipped"] is True
 
     def test_monotone_in_u_size(self, uniform_state):
         ch = sym_bsc_kernel(0.05, 0.3)
         values = [
-            gp_capacity_dm(ch, uniform_state, u_size=u, restarts=4, iters=120, seed=1).value
+            gp_capacity_dm(ch, uniform_state, u_size=u, restarts=4, seed=1).value
             for u in (1, 2, 3)
         ]
         assert values[1] >= values[0] - 1e-9
@@ -129,7 +130,7 @@ class TestGPCapacity:
             w = rng.dirichlet(np.ones(2), size=(2, 2))
             q = rng.dirichlet(np.ones(2))
             ch, state = ChannelKernel(w), Pmf(q)
-            gp = gp_capacity_dm(ch, state, u_size=3, restarts=4, iters=120).value
+            gp = gp_capacity_dm(ch, state, u_size=3, restarts=4).value
             averaged, _ = blahut_arimoto(np.einsum("s,sxy->xy", q, w))
             both = state_at_both_capacity(ch, state).value
             assert gp >= averaged - 1e-6
@@ -137,11 +138,22 @@ class TestGPCapacity:
 
     def test_heuristic_mode_flagged(self, uniform_state):
         # u_size large enough to push past the exhaustive-g budget
-        res = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=3, restarts=2, iters=60, seed=0)
-        assert res.diagnostics["exhaustive_g"]
-        big = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=12, restarts=2, iters=60, seed=0)
+        res = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=3, restarts=2, seed=0)
+        assert not res.diagnostics["heuristic_warning"]
+        big = gp_capacity_dm(state_blind_bsc(0.1), uniform_state, u_size=12, restarts=2, seed=0)
         assert big.diagnostics["heuristic_warning"]
         assert big.value == pytest.approx(bin_capacity(0.1), abs=1e-3)
+
+    def test_few_classes_enumerated_past_the_alphabet_cap(self):
+        # a stateless 5-input channel at the default |U| = 6 has
+        # comb(10, 6) = 210 relabelling classes, fewer than the maps a
+        # heuristic sample draws, so all of them are searched
+        w = stream(0, 25).dirichlet(np.ones(5), size=(1, 5))
+        res = gp_capacity_dm(ChannelKernel(w), Pmf(np.ones(1)), restarts=2)
+        assert res.diagnostics["u_size"] == 6
+        assert not res.diagnostics["heuristic_warning"]
+        assert res.diagnostics["batch"] == 210 * 2 + 1  # plus the averaged-channel start
+        assert res.value == pytest.approx(blahut_arimoto(w[0])[0], abs=1e-6)
 
 
 class TestMapClasses:
@@ -247,7 +259,7 @@ class TestGridOracle:
         """Brute-force grid over P(u|s) at resolution 1/64 with u_size=3,
         deterministic maps deduped by auxiliary-symbol relabeling."""
         ch = state_flip_bsc(0.0)
-        res = gp_capacity_dm(ch, uniform_state, u_size=3, restarts=6, iters=150)
+        res = gp_capacity_dm(ch, uniform_state, u_size=3, restarts=6)
 
         # grid rows: all 3-vectors of 64ths
         grid = np.array(
@@ -365,7 +377,7 @@ class TestCesaro:
             channels={"a": state_blind_bsc(0.1)},
             states={"a": uniform_state.probs},
         )
-        out = cesaro_capacity(seq, 64, solver_kwargs={"u_size": 3, "restarts": 4, "iters": 120})
+        out = cesaro_capacity(seq, 64, solver_kwargs={"u_size": 3, "restarts": 4})
         assert np.allclose(out["partial_averages"], out["partial_averages"][0])
         assert out["liminf_estimate"] == pytest.approx(bin_capacity(0.1), abs=1e-4)
 
@@ -376,7 +388,7 @@ class TestCesaro:
             channels={"a": ch, "b": ch, "c": ch},
             states={"a": uniform_state.probs, "b": uniform_state.probs},
         )
-        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4, "iters": 120})
+        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4})
         c = bin_capacity(0.2)
         assert out["liminf_estimate"] == pytest.approx(c, abs=1e-4)
         assert out["analytic_value"] == pytest.approx(c, abs=1e-4)
@@ -388,7 +400,7 @@ class TestCesaro:
             states={"u": uniform_state.probs},
             period=(("a", "u"), ("b", "u")),
         )
-        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4, "iters": 120})
+        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4})
         assert out["liminf_estimate"] == pytest.approx(0.5 * math.log(2), abs=1e-3)
 
     def test_rejects_small_horizon(self, uniform_state):
@@ -398,7 +410,7 @@ class TestCesaro:
 
 
 class TestClosedForm:
-    KW = {"u_size": 3, "restarts": 4, "iters": 120}
+    KW = {"u_size": 3, "restarts": 4}
 
     def test_weighted_blend_equal_channels(self, uniform_state):
         ch = sym_bsc_kernel(0.1, 0.1)

@@ -124,7 +124,8 @@ class TestCapacityCommand:
         assert res.exit_code == 0
         text = (out / "capacity.txt").read_text(encoding="utf-8")
         assert "liminf_estimate_nats=" in text
-        assert "closed_form_nats=" in text
+        assert "analytic_value_nats=" in text
+        assert "closed_form_nats" not in text
         csv_lines = (out / "partial_averages.csv").read_text(encoding="utf-8").splitlines()
         assert csv_lines[3] == "n,average_nats"
         assert len(csv_lines) == 4 + 2048

@@ -169,14 +169,14 @@ class TestEncodeDecode:
 
     def test_decode_unique_hit(self, noiseless_system):
         words = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.int64)
-        code = Codebook(words=words, subcodebook_size=1, message_count=2, seed=0)
+        code = Codebook(words=words, subcodebook_size=1, message_count=2)
         th = TypicalityThresholds(t1=0.9 * math.log(2), t2=0.0)
         assert decode(code, np.array([1, 1, 1, 1]), noiseless_system, th) == 1
         assert decode(code, np.array([0, 0, 0, 0]), noiseless_system, th) == 0
 
     def test_decode_no_hit_and_ambiguity(self, noiseless_system):
         words = np.array([[0, 0], [0, 0], [1, 1]], dtype=np.int64)
-        code = Codebook(words=words[:2], subcodebook_size=1, message_count=2, seed=0)
+        code = Codebook(words=words[:2], subcodebook_size=1, message_count=2)
         th = TypicalityThresholds(t1=0.9 * math.log(2), t2=0.0)
         # both bins hold the same typical codeword -> ambiguous
         assert decode(code, np.array([0, 0]), noiseless_system, th) is None

@@ -98,25 +98,25 @@ class TestDensityTable:
 
 class TestSpectralRateEstimate:
     def test_constant_samples(self):
-        s = SpectrumSamples(samples=np.full(200, 0.42), n=10)
+        s = SpectrumSamples(samples=np.full(200, 0.42))
         assert spectral_rate_estimate(s, "inf") == pytest.approx(0.42)
         assert spectral_rate_estimate(s, "sup") == pytest.approx(0.42)
 
     def test_two_point_mixture(self):
         vals = np.concatenate([np.full(400, 0.2), np.full(600, 0.7)])
-        s = SpectrumSamples(samples=vals, n=10)
+        s = SpectrumSamples(samples=vals)
         assert spectral_rate_estimate(s, "inf") == pytest.approx(0.2)
         assert spectral_rate_estimate(s, "sup") == pytest.approx(0.7)
 
     def test_sample_budget(self):
-        s = SpectrumSamples(samples=np.arange(50, dtype=float), n=10)
+        s = SpectrumSamples(samples=np.arange(50, dtype=float))
         with pytest.raises(SampleBudgetError):
             spectral_rate_estimate(s, "inf", delta=0.01)
 
     def test_inf_below_sup(self):
         rng = stream(0, 14)
         vals = rng.normal(size=2000)
-        s = SpectrumSamples(samples=vals, n=10)
+        s = SpectrumSamples(samples=vals)
         assert spectral_rate_estimate(s, "inf") <= spectral_rate_estimate(s, "sup")
 
     def test_memoryless_convergence(self):
@@ -129,7 +129,7 @@ class TestSpectralRateEstimate:
         n, draws = 2000, 10_000
         counts = rng.multinomial(n, joint.ravel(), size=draws)
         sums = counts @ table.ravel()
-        s = SpectrumSamples(samples=sums / n, n=n)
+        s = SpectrumSamples(samples=sums / n)
         var = (joint * (table - mi) ** 2).sum()
         z_bias = 2.4  # z-score of the 0.8%-1.2% quantile band
         tol = (3.0 + z_bias) * math.sqrt(var / n)

@@ -94,7 +94,7 @@ class TestMixedLowerBound:
 
 
 class TestMaximize:
-    KW = {"restarts": 6, "iters": 120, "seed": 2}
+    KW = {"restarts": 6, "seed": 2}
 
     def test_degenerate_matches_gp(self, uniform_state):
         ch = state_flip_bsc(0.1)
@@ -119,7 +119,7 @@ class TestMaximize:
                     tuple((w, ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))) for w in (0.4, 0.6)),
                     tuple((w, Pmf(rng.dirichlet(np.ones(2)))) for w in state_weights),
                 )
-                res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, iters=60, seed=1)
+                res = maximize_mixed_lower_bound(mix, u_size=2, restarts=2, seed=1)
                 assert max(mixed_lower_bound(mix, res.policy), 0.0) == res.value
 
     @pytest.mark.parametrize("eps", [0.1, 0.3])
