@@ -217,22 +217,22 @@ def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> fl
 def optimize_gp_policy(
     states: list[np.ndarray],
     channels: list[np.ndarray],
-    u_size: int,
+    u_size: int | None = None,
     *,
     restarts: int = RESTARTS,
     seed: int = 0,
-    candidates: tuple = (),
 ):
     """Ascent of min_{k,l} I(U_l;Y_kl) - max_l I(U_l;S_l) over P(u|s) and maps g.
 
     states: state pmfs indexed by l; channels: kernels (S,X,Y) indexed by
-    k. Returns (value, v, g, diagnostics). The search is exhaustive over
-    relabelling classes of maps when the full product |X|^(|U||S|) allows
-    (at most 10^6 maps, alphabets at most 4) or when there are no more
-    classes than the _HEURISTIC_MAPS maps a sample would draw, else over
-    a seeded sample of maps. Each class or sampled map gets `restarts`
-    starts: the uniform law, then Dirichlet draws. Candidates are (v, g)
-    pairs entered as further starts.
+    k; u_size defaults to |X||S| + 1. Returns (value, v, g, diagnostics).
+    The search is exhaustive over relabelling classes of maps when the
+    full product |X|^(|U||S|) allows (at most 10^6 maps, alphabets at
+    most 4) or when there are no more classes than the _HEURISTIC_MAPS
+    maps a sample would draw, else over a seeded sample of maps. Each
+    class or sampled map gets `restarts` starts: the uniform law, then
+    Dirichlet draws. A last start ignores the state: the best input law
+    of the averaged channel.
 
     Each of the ITERATIONS iterations takes the entropic step
     v <- v exp(step grad / rho), rows renormalised, on the weighted
@@ -244,11 +244,15 @@ def optimize_gp_policy(
     components, lam <- lam exp(-_ETA (I1 - min I1)) renormalised, and the
     row keeps the best exact objective it has reached.
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     states = np.asarray(states, dtype=np.float64)
     n_states = states.shape[1]
     n_inputs = channels[0].shape[1]
+    if u_size is None:
+        u_size = n_inputs * n_states + 1
+    if u_size < 1:
+        raise ValidationError("u_size must be >= 1")
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
     g_count = n_inputs ** (u_size * n_states)
     class_count = math.comb(n_inputs**n_states + u_size - 1, u_size)
     exhaustive = class_count <= _HEURISTIC_MAPS or (
@@ -266,9 +270,9 @@ def optimize_gp_policy(
     v0 = np.full((g_rep.shape[0], n_states, u_size), 1.0 / u_size)
     drawn = np.arange(g_rep.shape[0]) % restarts > 0
     v0[drawn] = rng.dirichlet(np.ones(u_size), size=(int(drawn.sum()), n_states))
-    for cand_v, cand_g in candidates:
-        g_rep = np.concatenate([g_rep, np.asarray(cand_g, dtype=np.int64)[None]], axis=0)
-        v0 = np.concatenate([v0, np.asarray(cand_v, dtype=np.float64)[None]], axis=0)
+    cand_v, cand_g = _averaged_channel_candidate(states, channels, u_size)
+    g_rep = np.concatenate([g_rep, cand_g[None]], axis=0)
+    v0 = np.concatenate([v0, cand_v[None]], axis=0)
     b = g_rep.shape[0]
 
     wg = _kernels_by_state(channels, g_rep)
@@ -318,12 +322,12 @@ def optimize_gp_policy(
     return float(obj[best]), v[best], g_rep[best], diagnostics
 
 
-def _averaged_channel_candidate(states, channels, u_size, n_inputs):
+def _averaged_channel_candidate(states, channels, u_size):
     """Feasible policy ignoring the state: best input law of the averaged channel."""
     w_avg = sum(np.einsum("s,sxy->xy", q, np.asarray(w)) for w in channels for q in states)
     _, r = blahut_arimoto(w_avg / (len(channels) * len(states)))
     n_states = states[0].size
-    m = min(u_size, n_inputs)
+    m = min(u_size, channels[0].shape[1])
     v = np.zeros((n_states, u_size))
     v[:, :m] = r[None, :m]
     v /= v.sum(axis=1, keepdims=True)
@@ -343,14 +347,7 @@ def gp_capacity_dm(
     """Capacity with the state known noncausally at the encoder only."""
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
-    if u_size is None:
-        u_size = channel.n_inputs * channel.n_states + 1
-    if u_size < 1:
-        raise ValidationError("u_size must be >= 1")
-    cand = [_averaged_channel_candidate([state.probs], [channel.w], u_size, channel.n_inputs)]
-    value, v, g, diag = optimize_gp_policy(
-        [state.probs], [channel.w], u_size, restarts=restarts, seed=seed, candidates=tuple(cand)
-    )
+    value, v, g, diag = optimize_gp_policy([state.probs], [channel.w], u_size, restarts=restarts, seed=seed)
     value = max(value, 0.0)
     cap = math.log(channel.n_outputs)
     policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)

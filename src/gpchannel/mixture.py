@@ -21,7 +21,6 @@ import numpy as np
 from .capacity import (
     RESTARTS,
     CapacityResult,
-    _averaged_channel_candidate,
     _kernels_by_state,
     _objective_terms,
     optimize_gp_policy,
@@ -87,14 +86,7 @@ def maximize_mixed_lower_bound(
     no matching converse is computed for proper mixtures)."""
     _, chans, _, states = mix.support
     chans, states = [ch.w for ch in chans], [q.probs for q in states]
-    n_inputs = chans[0].shape[1]
-    n_states = states[0].size
-    if u_size is None:
-        u_size = n_inputs * n_states + 1
-    if u_size < 1:
-        raise ValidationError("u_size must be >= 1")
-    cand = [_averaged_channel_candidate(states, chans, u_size, n_inputs)]
-    value, v, g, diag = optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed, candidates=tuple(cand))
+    value, v, g, diag = optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed)
     policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
     diag["lower_bound_only"] = len(chans) > 1 or len(states) > 1
     return CapacityResult(value=max(value, 0.0), policy=policy, diagnostics=diag)

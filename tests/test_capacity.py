@@ -7,7 +7,6 @@ import pytest
 import gpchannel.capacity as capacity
 from gpchannel.capacity import (
     SequenceSpec,
-    _averaged_channel_candidate,
     blahut_arimoto,
     cesaro_capacity,
     dyadic_alternation_value,
@@ -89,17 +88,22 @@ class TestGPCapacity:
         assert 0.0 <= res.value <= math.log(2) + 1e-12
 
     def test_one_step_is_closed_form_update(self, monkeypatch):
-        # with one channel and one state law, the first step from the uniform
-        # law is v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y)
+        # with one channel and one state law, the first step from a start v
+        # is v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y) on the symbols v uses;
+        # the winning row starts uniform or is the averaged-channel start
         monkeypatch.setattr(capacity, "ITERATIONS", 1)
         rng = stream(0, 24)
         q = rng.dirichlet(np.ones(2))
         w = rng.dirichlet(np.ones(2), size=(2, 2))
         _, v, g, _ = optimize_gp_policy([q], [w], 5, restarts=1)
+        start, g_avg = capacity._averaged_channel_candidate([q], [w], 5)
+        if not np.array_equal(g, g_avg):
+            start = np.full((2, 5), 0.2)
         wg = effective_kernel(w, g)  # (U,S,Y)
-        joint = np.einsum("s,usy->uy", q, wg) / 5
-        log_post = np.log(joint / joint.sum(axis=0))
-        expected = np.exp(np.einsum("usy,uy->su", wg, log_post))
+        joint = np.einsum("s,su,usy->uy", q, start, wg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_post = np.where(joint > 0, np.log(joint / joint.sum(axis=0)), 0.0)
+        expected = np.where(start > 0, np.exp(np.einsum("usy,uy->su", wg, log_post)), 0.0)
         expected /= expected.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
 
@@ -172,11 +176,9 @@ class TestMapClasses:
     def _solve_both_ways(which, restarts, monkeypatch):
         """(class search, full product search) results on one problem."""
         states, channels = TestMapClasses._problems()[which]
-        u_size = 4
-        cand = (_averaged_channel_candidate(states, channels, u_size, 2),)
 
         def solve():
-            return optimize_gp_policy(states, channels, u_size, restarts=restarts, seed=5, candidates=cand)
+            return optimize_gp_policy(states, channels, 4, restarts=restarts, seed=5)
 
         classes = solve()
         monkeypatch.setattr(capacity, "_relabelling_classes", full_product_maps)
@@ -198,21 +200,20 @@ class TestMapClasses:
         # product search's (above); the 1e-12 allows the gradient's einsum
         # to round differently at a different batch size
         states, channels = self._problems()[which]
-        cand = (_averaged_channel_candidate(states, channels, 4, 2),)
-        one, several = (
-            optimize_gp_policy(states, channels, 4, restarts=r, seed=5, candidates=cand) for r in (1, 4)
-        )
+        one, several = (optimize_gp_policy(states, channels, 4, restarts=r, seed=5) for r in (1, 4))
         assert several[3]["batch"] == 4 * math.comb(4 + 4 - 1, 4) + 1
         assert several[0] >= one[0] - 1e-12
 
     def test_top_two_gap_is_to_best_other_policy(self, monkeypatch):
-        # per-map reference: each of the 64 maps solved alone; a policy is
-        # the set of used rows, each cut to the states that pick it
+        # per-map reference: each of the 64 maps solved alone (the
+        # averaged-channel start repeats the map's uniform start); a policy
+        # is the set of used rows, each cut to the states that pick it
         states, channels = self._problems()[0]
         value, _, _, diag = optimize_gp_policy(states, channels, 3, restarts=1)
         per_policy, classes_of = {}, {}
         for g in full_product_maps(3, 2, 2):
             monkeypatch.setattr(capacity, "_relabelling_classes", lambda *_, g=g: g[None])
+            monkeypatch.setattr(capacity, "_averaged_channel_candidate", lambda *_, g=g: (np.full((2, 3), 1 / 3), g))
             one, v, g_win, _ = optimize_gp_policy(states, channels, 3, restarts=1)
             policy = frozenset(
                 tuple(int(g_win[u, s]) if v[s, u] > 1e-6 else None for s in range(2))
