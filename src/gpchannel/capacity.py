@@ -36,7 +36,10 @@ _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # GP optimizer starts per relabelling class (per sampled map in heuristic
 # mode): the uniform law first, then Dirichlet draws
 RESTARTS = 20
-ITERATIONS = 200  # entropic steps each start row of a GP optimizer solve takes
+ITERATIONS = 200  # the most entropic steps a start row of a GP optimizer solve takes
+# a start row retires after an accepted step that gains at most STOP_TOL
+# times max(1, |objective|) and moves no component weight by more than STOP_TOL
+STOP_TOL = 1e-13
 MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
 # Blahut-Arimoto stops when the capacity estimate moves by at most
 # _BA_TOL relative to max(1, estimate), or after _BA_MAX_ITER updates
@@ -141,19 +144,27 @@ def _objective_terms(v, q, wg):
     v: (B,S,U); q: (L,S) state pmfs; wg: (S,B,K,U,Y) effective kernels.
     Returns, batch axis first: obj (B,), i1 (B,K,L), i2 (B,L),
     log a - log p_Y (B,K,L,U,Y), log p_U (B,L,U) and log v (B,S,U), where
-    a is the joint law of (U,Y).
+    a is the joint law of (U,Y). Both informations are in entropy form,
+    I(U;Y) = sum a log a - sum p_Y log p_Y - sum p_U log p_U and
+    I(U;S) = sum_s q_s sum_u v log v - sum p_U log p_U, where a zero
+    cell's floored log is multiplied by 0.
     """
     log_v = _slog(v)
     qv = q[None, :, :, None] * v[:, None]  # (B,L,S,U)
-    log_pu = _slog(qv.sum(axis=2))
-    i2 = np.where(qv > 0, qv * (log_v[:, None] - log_pu[:, :, None, :]), 0.0).sum(axis=(2, 3))
+    pu = qv.sum(axis=2)
+    log_pu = _slog(pu)
+    pu_log_pu = (pu * log_pu).sum(axis=2)
+    i2 = (qv * log_v[:, None]).sum(axis=(2, 3)) - pu_log_pu
     # products summed over s in order, with no BLAS call or fused
     # multiply-add: a row rounds the same whatever batch it is in
-    a = sum(qv[:, None, :, s, :, None] * wg[s][:, :, None] for s in range(wg.shape[0]))
-    log_a, log_py = _slog(a), _slog(a.sum(axis=3))[:, :, :, None, :]
-    i1 = np.where(a > 0, a * (log_a - log_pu[:, None, :, :, None] - log_py), 0.0).sum(axis=(3, 4))
+    a = qv[:, None, :, 0, :, None] * wg[0][:, :, None]
+    for s in range(1, wg.shape[0]):
+        a += qv[:, None, :, s, :, None] * wg[s][:, :, None]
+    py = a.sum(axis=3)
+    log_a, log_py = _slog(a), _slog(py)
+    i1 = (a * log_a).sum(axis=(3, 4)) - (py * log_py).sum(axis=3) - pu_log_pu[:, None]
     obj = i1.min(axis=(1, 2)) - i2.max(axis=1)
-    return obj, i1, i2, log_a - log_py, log_pu, log_v
+    return obj, i1, i2, log_a - log_py[:, :, :, None, :], log_pu, log_v
 
 
 def _kernels_by_state(channels, g: np.ndarray) -> np.ndarray:
@@ -234,15 +245,21 @@ def optimize_gp_policy(
     Dirichlet draws. A last start ignores the state: the best input law
     of the averaged channel.
 
-    Each of the ITERATIONS iterations takes the entropic step
-    v <- v exp(step grad / rho), rows renormalised, on the weighted
-    objective sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l), with
+    Each iteration takes the entropic step v <- v exp(step grad / rho),
+    rows renormalised, on the weighted objective
+    sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l), with
     rho(s) = max_l P_l(s). With one channel and one state law, step 1 is
     the closed-form update v(u|s) ~ exp sum_y W_g(y|u,s) log P(u|y). A
     step that lowers the weighted objective is refused and halved; an
-    accepted one grows the step up to 2. Each row's weights then move toward its worst channel
-    components, lam <- lam exp(-_ETA (I1 - min I1)) renormalised, and the
-    row keeps the best exact objective it has reached.
+    accepted one grows the step up to 2. Each row's weights then move
+    toward its worst channel components, lam <- lam exp(-_ETA (I1 - min I1))
+    renormalised, and the row keeps the best exact objective it has
+    reached. A row retires, its best value and v fixed, after an accepted
+    step that gains at most STOP_TOL max(1, |weighted objective|) and
+    moves no weight by more than STOP_TOL; it never takes more than
+    ITERATIONS steps. diagnostics["iterations"] is the longest row's step
+    count and diagnostics["rows_at_cap"] the rows that ran ITERATIONS
+    steps without retiring.
     """
     states = np.asarray(states, dtype=np.float64)
     n_states = states.shape[1]
@@ -283,24 +300,46 @@ def optimize_gp_policy(
     step = np.ones(b)
     terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
-    for _ in range(ITERATIONS):
+    # working row i holds start row rows[i]; a retired row stays, masked,
+    # until the live rows fall to half the working rows, then all are gathered
+    rows, live = np.arange(b), np.ones(b, dtype=bool)
+    obj, v_out, ran = np.empty(b), np.empty_like(v0), np.full(b, ITERATIONS)
+    for it in range(1, ITERATIONS + 1):
         x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg, lam, *terms[2:]), -np.inf)
         cand = v * np.exp(x - x.max(axis=2, keepdims=True))
         cand /= cand.sum(axis=2, keepdims=True)
         cterms = _objective_terms(cand, states, wg)
-        accept = _weighted(cterms, lam) >= _weighted(terms, lam) - 1e-15
-        v = np.where(accept[:, None, None], cand, v)
-        terms = tuple(np.where(accept.reshape((b,) + (1,) * (t.ndim - 1)), c, t) for c, t in zip(cterms, terms))
-        step = np.where(accept, np.minimum(step * 1.1, 2.0), step * 0.5)
-        step = np.maximum(step, 1e-10)
+        new, old = _weighted(cterms, lam), _weighted(terms, lam)
+        accept = new >= old - 1e-15
+        if accept.all():
+            v, terms, step = cand, cterms, np.minimum(step * 1.1, 2.0)
+        else:
+            v = np.where(accept[:, None, None], cand, v)
+            terms = tuple(np.where(accept.reshape(accept.shape + (1,) * (t.ndim - 1)), c, t) for c, t in zip(cterms, terms))
+            step = np.maximum(np.where(accept, np.minimum(step * 1.1, 2.0), step * 0.5), 1e-10)
         better = terms[0] > best_obj
         best_obj = np.where(better, terms[0], best_obj)
         best_v = np.where(better[:, None, None], v, best_v)
-        i1 = terms[1]
+        i1, moved = terms[1], lam
         lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
         lam /= lam.sum(axis=(1, 2), keepdims=True)
+        done = live & accept & (new - old <= STOP_TOL * np.maximum(1.0, np.abs(new)))
+        if done.any():
+            done &= np.abs(lam - moved).max(axis=(1, 2)) <= STOP_TOL
+        if not done.any():
+            continue
+        obj[rows[done]], v_out[rows[done]], ran[rows[done]] = best_obj[done], best_v[done], it
+        live &= ~done
+        if 2 * live.sum() <= live.size:
+            keep = np.flatnonzero(live)
+            if keep.size == 0:
+                break
+            v, step, lam, best_obj, best_v, rows, live = (a[keep] for a in (v, step, lam, best_obj, best_v, rows, live))
+            terms = tuple(t[keep] for t in terms)
+            wg = wg.take(keep, axis=1)
+    obj[rows[live]], v_out[rows[live]] = best_obj[live], best_v[live]
 
-    obj, v = best_obj, best_v
+    v = v_out
     order = np.argsort(-obj, kind="stable")
     best = order[0]
     # deterministic tie-break: lexicographic smallest flattened (g, v)
@@ -314,7 +353,8 @@ def optimize_gp_policy(
     diagnostics = {
         "u_size": u_size,
         "restarts": restarts,
-        "iterations": ITERATIONS,
+        "iterations": int(ran.max()),
+        "rows_at_cap": int(live.sum()),
         "batch": b,
         "top_two_gap": _top_two_gap(obj, v, g_rep, best),
         "heuristic_warning": not exhaustive,

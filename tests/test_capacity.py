@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import gpchannel.capacity as capacity
 from gpchannel.capacity import (
@@ -106,6 +107,20 @@ class TestGPCapacity:
         expected = np.where(start > 0, np.exp(np.einsum("usy,uy->su", wg, log_post)), 0.0)
         expected /= expected.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
+
+    def test_converged_rows_stop_before_the_cap(self, monkeypatch):
+        # the region anchor's shape: a clean and a noisy state at |U| = 2,
+        # one start per class; every row converges well before the cap and
+        # the solve keeps the value of the ascent that never stops
+        ch, state = sym_bsc_kernel(0.03, 0.3), Pmf(np.array([0.45, 0.55]))
+        res = gp_capacity_dm(ch, state, u_size=2, restarts=1)
+        assert res.diagnostics["iterations"] < capacity.ITERATIONS
+        assert res.diagnostics["rows_at_cap"] == 0
+        monkeypatch.setattr(capacity, "STOP_TOL", -1.0)
+        never = gp_capacity_dm(ch, state, u_size=2, restarts=1)
+        assert never.diagnostics["iterations"] == capacity.ITERATIONS
+        assert never.diagnostics["rows_at_cap"] == never.diagnostics["batch"]
+        assert res.value == pytest.approx(never.value, abs=1e-12)
 
     def test_value_above_log_outputs_clipped_and_flagged(self, uniform_state, monkeypatch):
         solve = capacity.optimize_gp_policy
@@ -278,23 +293,22 @@ class TestGridOracle:
                 seen.add(key)
                 g_classes.append(g)
 
+        # I(U;Y) - I(U;S) = sum a log a - sum p_Y log p_Y - sum_s q_s sum_u v log v
+        # for a(u,y) = sum_s q_s v(u|s) W_g(y|u,s): each grid row's (U,Y)
+        # contribution per state is computed once, and the pairs (v0, v1) of
+        # grid rows are summed by broadcasting over chunks of v0 rows
         q = uniform_state.probs
+        neg_h = xlogy(grid, grid).sum(axis=1)  # sum_u v log v per grid row
         best = -np.inf
-        chunk = 200_000
-        pairs = np.array(list(product(range(n_rows), repeat=2)), dtype=np.int64)
+        chunk = 128
         for g in g_classes:
             wg = ch.w[np.arange(2)[None, :], g, :]  # (U,S,Y)
-            for lo in range(0, pairs.shape[0], chunk):
-                idx = pairs[lo : lo + chunk]
-                v = np.stack([grid[idx[:, 0]], grid[idx[:, 1]]], axis=1)  # (B,S,U)
-                pu = 0.5 * (v[:, 0] + v[:, 1])
-                a = np.einsum("s,bsu,usy->buy", q, v, wg)
-                py = a.sum(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t1 = np.where(a > 0, a * np.log(a / (pu[:, :, None] * py[:, None, :])), 0.0)
-                    qv = 0.5 * v
-                    t2 = np.where(qv > 0, qv * np.log(v / pu[:, None, :]), 0.0)
-                obj = np.nansum(t1, axis=(1, 2)) - np.nansum(t2, axis=(1, 2))
+            part = [q[s] * grid[:, :, None] * wg[None, :, s] for s in range(2)]  # (rows,U,Y) per state
+            for lo in range(0, n_rows, chunk):
+                a = part[0][lo : lo + chunk, None] + part[1][None]  # (chunk,rows,U,Y)
+                p_y = a.sum(axis=2)
+                obj = xlogy(a, a).sum(axis=(2, 3)) - xlogy(p_y, p_y).sum(axis=2)
+                obj -= q[0] * neg_h[lo : lo + chunk, None] + q[1] * neg_h[None]
                 best = max(best, float(obj.max()))
         assert res.value >= best - 1e-9
         assert abs(res.value - best) <= 5e-3

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gpchannel import kernels
-from gpchannel.capacity import _gradient, _kernels_by_state, _objective_terms, _relabelling_classes
+import gpchannel.capacity as capacity
+from gpchannel.capacity import _gradient, _kernels_by_state, _objective_terms, _relabelling_classes, optimize_gp_policy
 from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sample
 from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
 from gpchannel.mixture import _logsumexp
@@ -345,6 +346,25 @@ def test_merging_symbols_with_one_row_never_lowers_the_objective(k_n, data):
     before = _objective_terms(v, states, wg)[0]
     after = _objective_terms(merged, states, wg)[0]
     assert (after >= before - 1e-12).all()
+
+
+@pytest.mark.parametrize("k_n, l_n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_stopped_rows_keep_the_never_stopping_value(k_n, l_n, data):
+    # a row retires once its ascent has converged: the solve reads no less
+    # than the ascent that runs every row to the cap, and the (v, g) it
+    # returns is the row that scored the returned value
+    states = np.array([data.draw(pmf(2)) for _ in range(l_n)])
+    channels = [np.array([[data.draw(pmf(2)) for _ in range(2)] for _ in range(2)]) for _ in range(k_n)]
+    value, v, g, diag = optimize_gp_policy(states, channels, 3, restarts=1)
+    assert diag["iterations"] <= capacity.ITERATIONS
+    with mock.patch.object(capacity, "STOP_TOL", -1.0):
+        never = optimize_gp_policy(states, channels, 3, restarts=1)
+    assert never[3]["rows_at_cap"] == never[3]["batch"]
+    assert value >= never[0] - 1e-9
+    rescored = _objective_terms(v[None], states, _kernels_by_state(channels, g[None]))[0][0]
+    assert rescored.tobytes() == np.float64(value).tobytes()
 
 @st.composite
 def region_penalty_case(draw):
