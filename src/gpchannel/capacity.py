@@ -320,12 +320,12 @@ def optimize_gp_policy(
         better = terms[0] > best_obj
         best_obj = np.where(better, terms[0], best_obj)
         best_v = np.where(better[:, None, None], v, best_v)
-        i1, moved = terms[1], lam
+        i1, lam_prev = terms[1], lam
         lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
         lam /= lam.sum(axis=(1, 2), keepdims=True)
         done = live & accept & (new - old <= STOP_TOL * np.maximum(1.0, np.abs(new)))
         if done.any():
-            done &= np.abs(lam - moved).max(axis=(1, 2)) <= STOP_TOL
+            done &= np.abs(lam - lam_prev).max(axis=(1, 2)) <= STOP_TOL
         if not done.any():
             continue
         obj[rows[done]], v_out[rows[done]], ran[rows[done]] = best_obj[done], best_v[done], it

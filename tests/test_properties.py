@@ -366,6 +366,7 @@ def test_stopped_rows_keep_the_never_stopping_value(k_n, l_n, data):
     rescored = _objective_terms(v[None], states, _kernels_by_state(channels, g[None]))[0][0]
     assert rescored.tobytes() == np.float64(value).tobytes()
 
+
 @st.composite
 def region_penalty_case(draw):
     """(theta, w, q, |V|, |U|) of a relaxed region policy on a channel
