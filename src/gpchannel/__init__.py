@@ -5,13 +5,12 @@ __version__ = "0.1.0"
 
 from .capacity import (
     CapacityResult,
-    SequenceSpec,
     blahut_arimoto,
     cesaro_capacity,
-    dyadic_alternation_value,
     gp_capacity_dm,
-    interleaved_capacity,
+    interleaved_value,
     j_density_extrema,
+    j_structured_slots,
     no_state_capacity,
     state_at_both_capacity,
 )

@@ -3,8 +3,9 @@
 Covers the auxiliary-symbol capacity max I(U;Y) - I(U;S) over P(u|s) and
 deterministic input maps, the stateless Blahut-Arimoto specialization,
 state-known-at-both-ends capacity, running-average (Cesaro) capacities
-of non-stationary memoryless sequences, and the closed-form value of the
-dyadic odd/even alternating sequence family.
+of non-stationary memoryless sequences given as a slot table over
+constituents, and the closed-form value of the dyadic odd/even
+alternating sequence family.
 
 For a fixed input map g and one state law, I(U;Y) - I(U;S) is concave in
 P(u|s) (Gel'fand-Pinsker, 1980). The optimizer ascends it from one set of
@@ -40,7 +41,7 @@ ITERATIONS = 200  # the most entropic steps a start row of a GP optimizer solve 
 # a start row retires after an accepted step that gains at most STOP_TOL
 # times max(1, |objective|) and moves no component weight by more than STOP_TOL
 STOP_TOL = 1e-13
-MIN_HORIZON = 4  # the shortest n_max cesaro_capacity accepts
+MIN_HORIZON = 4  # the shortest slot table cesaro_capacity accepts
 # Blahut-Arimoto stops when the capacity estimate moves by at most
 # _BA_TOL relative to max(1, estimate), or after _BA_MAX_ITER updates
 _BA_TOL = 1e-9
@@ -438,122 +439,47 @@ def j_density_extrema(n_max: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Description of a non-stationary memoryless channel/state sequence.
-
-    kind 'stationary': channels['a'] / states['a'] used at every index.
-    kind 'j-structured': odd indices use channels 'a' (inside the
-    dyadic blocks) or 'b' (outside) with state 'a'; even indices use
-    channel 'c' with state 'b'.
-    kind 'explicit-periodic': cycle over the (channel, state) pairs
-    listed in `period` (keys into channels/states).
-    """
-
-    kind: str
-    channels: dict
-    states: dict
-    period: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("stationary", "j-structured", "explicit-periodic"):
-            raise ValidationError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "stationary" and ("a" not in self.channels or "a" not in self.states):
-            raise ValidationError("stationary spec needs channel 'a' and state 'a'")
-        if self.kind == "j-structured":
-            for key in ("a", "b", "c"):
-                if key not in self.channels:
-                    raise ValidationError(f"j-structured spec needs channel {key!r}")
-            for key in ("a", "b"):
-                if key not in self.states:
-                    raise ValidationError(f"j-structured spec needs state {key!r}")
-        if self.kind == "explicit-periodic" and not self.period:
-            raise ValidationError("explicit-periodic spec needs a period")
+def j_structured_slots(n_max: int) -> np.ndarray:
+    """slot[i-1] for i in 1..n_max of the j-structured sequence: 0 at odd i
+    inside the dyadic blocks, 1 at odd i outside them, 2 at even i."""
+    i = np.arange(1, n_max + 1)
+    return np.where((i & 1) == 0, 2, np.where(odd_j_mask(n_max), 0, 1))
 
 
-def cesaro_capacity(seq: SequenceSpec, n_max: int, *, solver_kwargs: dict | None = None) -> dict:
+def cesaro_capacity(constituents: list, slot: np.ndarray, *, solver_kwargs: dict | None = None) -> dict:
     """Running averages (1/n) sum_{i<=n} C(W_i, P_{S_i}) and their liminf.
 
-    Index i uses constituent slot[i-1], so the average at n is
-    sum_k |{i <= n: slot k}| C_k / n for every sequence kind. The liminf
-    surrogate is the minimum of the partial averages over the final
-    dyadic window [n_max/2, n_max]; the structured sequences this
-    targets oscillate on dyadic blocks, so the window always contains
-    both extreme phases.
+    constituents: (ChannelKernel, Pmf) pairs, each solved once; index i
+    uses constituents[slot[i-1]], so the average at n is
+    sum_k |{i <= n: slot k}| C_k / n. A stationary sequence is
+    np.zeros(n, int), a periodic one np.resize(period_slots, n). The
+    liminf surrogate is the minimum of the partial averages over the
+    final dyadic window [n/2, n], n = len(slot); the structured sequences
+    this targets oscillate on dyadic blocks, so the window always
+    contains both extreme phases.
     """
+    slot = np.asarray(slot)
+    n_max = slot.size
     if n_max < MIN_HORIZON:
         raise ValidationError(f"horizon must be at least {MIN_HORIZON}")
-    i = np.arange(1, n_max + 1)
-    if seq.kind == "j-structured":
-        keys = [("a", "a"), ("b", "a"), ("c", "b")]
-        slot = np.where((i & 1) == 0, 2, np.where(odd_j_mask(n_max), 0, 1))
-    else:
-        period = [tuple(key) for key in seq.period] if seq.kind == "explicit-periodic" else [("a", "a")]
-        keys = list(dict.fromkeys(period))
-        period_slots = np.array([keys.index(key) for key in period])
-        slot = period_slots[(i - 1) % len(period)]
+    if slot.min() < 0 or slot.max() >= len(constituents):
+        raise ValidationError(f"slot entries must index the {len(constituents)} constituents")
     kw = solver_kwargs or {}
-    caps = [
-        gp_capacity_dm(seq.channels[ck], Pmf(np.asarray(seq.states[sk], dtype=np.float64)), **kw).value
-        for ck, sk in keys
-    ]
-    partial = sum(np.cumsum(slot == k) * c for k, c in enumerate(caps)) / i
-    if seq.kind == "j-structured":
-        analytic = 0.5 * (_dyadic_blend(caps[0], caps[1]) + caps[2])
-    else:
-        analytic = float(np.mean(np.array(caps)[period_slots]))
-    lo = n_max // 2
+    caps = [gp_capacity_dm(w, q, **kw).value for w, q in constituents]
+    partial = sum(np.cumsum(slot == k) * c for k, c in enumerate(caps)) / np.arange(1, n_max + 1)
     return {
         "partial_averages": partial,
-        "liminf_estimate": float(partial[lo - 1:].min()),
-        "analytic_value": analytic,
-        "constituents": dict(zip(keys, caps)),
+        "liminf_estimate": float(partial[n_max // 2 - 1:].min()),
+        "constituents": caps,
     }
 
 
-def _dyadic_blend(ca: float, cb: float) -> float:
-    """2/3 min + 1/3 max: the liminf contribution of odd slots that
-    alternate between capacities ca and cb on dyadic blocks."""
-    return (2.0 / 3.0) * min(ca, cb) + (1.0 / 3.0) * max(ca, cb)
+def interleaved_value(ca: float, cb: float, cc: float) -> float:
+    """Closed-form Cesaro liminf of the j-structured sequence from its
+    constituent capacities: half the dyadic blend 2/3 min + 1/3 max of the
+    odd slots' ca and cb, plus half the even slots' cc.
 
-
-def dyadic_alternation_value(wa: ChannelKernel, wb: ChannelKernel, q: Pmf, **kw) -> float:
-    """Weighted blend 2/3 min + 1/3 max of the two constituent capacities,
-    the liminf contribution of the dyadically alternating odd slots."""
-    return _dyadic_blend(gp_capacity_dm(wa, q, **kw).value, gp_capacity_dm(wb, q, **kw).value)
-
-
-def _is_state_symmetric_bsc(w: ChannelKernel) -> bool:
-    if w.n_states != 2 or w.n_inputs != 2 or w.n_outputs != 2:
-        return False
-    for s in range(2):
-        m = w.w[s]
-        if not (abs(m[0, 0] - m[1, 1]) < 1e-12 and abs(m[0, 1] - m[1, 0]) < 1e-12):
-            return False
-        if not (0.0 < m[0, 1] < 1.0):
-            return False
-    return True
-
-
-def require_interleaved_form(wa: ChannelKernel, wb: ChannelKernel, names=("wa", "wb")) -> None:
-    """The interleaved closed form holds only when wa and wb are binary
-    symmetric channels in each state; `names` label them in the error."""
-    for name, w in zip(names, (wa, wb)):
-        if not _is_state_symmetric_bsc(w):
-            raise ValidationError(f"{name} must be a binary symmetric channel in each state")
-
-
-def interleaved_capacity(
-    wa: ChannelKernel, wb: ChannelKernel, wc: ChannelKernel, qa: Pmf, qb: Pmf, **kw
-) -> float:
-    """Closed-form capacity of the odd/even interleaved sequence:
-    half the dyadic blend of (wa, wb) at state qa plus half C(wc, qb).
-
-    Requires wa and wb to be symmetric binary channels in each state;
-    the closed form relies on the uniform auxiliary law being optimal
-    on the odd slots, which that symmetry guarantees.
+    Holds when channels a and b are binary symmetric in each state, which
+    makes the uniform auxiliary law optimal on the odd slots.
     """
-    require_interleaved_form(wa, wb)
-    g = dyadic_alternation_value(wa, wb, qa, **kw)
-    cc = gp_capacity_dm(wc, qb, **kw).value
-    return 0.5 * (g + cc)
+    return 0.5 * ((2.0 / 3.0) * min(ca, cb) + (1.0 / 3.0) * max(ca, cb) + cc)

@@ -28,11 +28,11 @@ from .capacity import (
     # `capacity --restarts` and of the policy `simulate` solves when its
     # spec has none
     RESTARTS,
-    SequenceSpec,
     cesaro_capacity,
     gp_capacity_dm,
+    interleaved_value,
+    j_structured_slots,
     no_state_capacity,
-    require_interleaved_form,
     state_at_both_capacity,
 )
 from .coding import TRIAL_COLUMNS, BudgetError, MemorylessSystem, design_experiment, run_experiment
@@ -158,14 +158,13 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
         res = maximize_mixed_lower_bound(spec["mixture"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
         lines = _capacity_lines(res, "bound=lower")
     else:  # j-structured
-        n_max = spec.get("n_max", 2**16)
-        seq = SequenceSpec(kind="j-structured", channels=spec["channels"], states=spec["states"])
-        require_interleaved_form(seq.channels["a"], seq.channels["b"], ("channels.a", "channels.b"))
+        channels, states = spec["channels"], spec["states"]
+        constituents = [(channels["a"], states["a"]), (channels["b"], states["a"]), (channels["c"], states["b"])]
         kw = {"u_size": spec.get("u_size"), "restarts": restarts, "seed": seed}
-        result = cesaro_capacity(seq, n_max, solver_kwargs=kw)
+        result = cesaro_capacity(constituents, j_structured_slots(spec.get("n_max", 2**16)), solver_kwargs=kw)
         lines = [
             f"liminf_estimate_nats={result['liminf_estimate']:.12g}",
-            f"analytic_value_nats={result['analytic_value']:.12g}",
+            f"analytic_value_nats={interleaved_value(*result['constituents']):.12g}",
         ]
         partial = result["partial_averages"]
         _write_csv(

@@ -13,12 +13,12 @@ import pytest
 from click.testing import CliRunner
 
 from gpchannel.capacity import (
-    SequenceSpec,
     blahut_arimoto,
     cesaro_capacity,
     gp_capacity_dm,
-    interleaved_capacity,
+    interleaved_value,
     j_density_extrema,
+    j_structured_slots,
     state_at_both_capacity,
 )
 from gpchannel.cli import main as cli_main
@@ -84,13 +84,10 @@ def test_acceptance_3_interleaved_closed_form():
     for grid in range(5):
         pa, pb, pc = 0.02 + 0.46 * rng.random(3)
         wa, wb, wc = (ChannelKernel(np.stack([bsc_matrix(p)] * 2)) for p in (pa, pb, pc))
-        seq = SequenceSpec(
-            kind="j-structured",
-            channels={"a": wa, "b": wb, "c": wc},
-            states={"a": UNIFORM.probs, "b": UNIFORM.probs},
-        )
-        numeric = cesaro_capacity(seq, 2**16, solver_kwargs=kw)["liminf_estimate"]
-        closed = interleaved_capacity(wa, wb, wc, UNIFORM, UNIFORM, **kw)
+        constituents = [(wa, UNIFORM), (wb, UNIFORM), (wc, UNIFORM)]
+        out = cesaro_capacity(constituents, j_structured_slots(2**16), solver_kwargs=kw)
+        numeric = out["liminf_estimate"]
+        closed = interleaved_value(*out["constituents"])
         gap = abs(numeric - closed)
         worst = max(worst, gap)
         assert gap <= 0.01, (grid, pa, pb, pc, numeric, closed)
@@ -200,7 +197,6 @@ def test_acceptance_7_region_endpoints():
               f"{pts[-1].r:.5f}->{both:.5f} within 2e-3, frontier monotone")
 
 
-@pytest.mark.slow
 def test_acceptance_8_determinism(tmp_path):
     """Identical outputs, byte for byte, regardless of the worker hint."""
     spec = {

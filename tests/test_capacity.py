@@ -7,14 +7,13 @@ from scipy.special import xlogy
 
 import gpchannel.capacity as capacity
 from gpchannel.capacity import (
-    SequenceSpec,
     blahut_arimoto,
     cesaro_capacity,
-    dyadic_alternation_value,
     gp_capacity_dm,
     in_dyadic_blocks,
-    interleaved_capacity,
+    interleaved_value,
     j_density_extrema,
+    j_structured_slots,
     no_state_capacity,
     odd_j_mask,
     optimize_gp_policy,
@@ -387,77 +386,70 @@ class TestDyadicStructure:
 
 class TestCesaro:
     def test_stationary_constant(self, uniform_state):
-        seq = SequenceSpec(
-            kind="stationary",
-            channels={"a": state_blind_bsc(0.1)},
-            states={"a": uniform_state.probs},
+        out = cesaro_capacity(
+            [(state_blind_bsc(0.1), uniform_state)], np.zeros(64, int), solver_kwargs={"u_size": 3, "restarts": 4}
         )
-        out = cesaro_capacity(seq, 64, solver_kwargs={"u_size": 3, "restarts": 4})
         assert np.allclose(out["partial_averages"], out["partial_averages"][0])
         assert out["liminf_estimate"] == pytest.approx(bin_capacity(0.1), abs=1e-4)
 
     def test_equal_constituents_insensitive_to_j(self, uniform_state):
         ch = state_blind_bsc(0.2)
-        seq = SequenceSpec(
-            kind="j-structured",
-            channels={"a": ch, "b": ch, "c": ch},
-            states={"a": uniform_state.probs, "b": uniform_state.probs},
+        out = cesaro_capacity(
+            [(ch, uniform_state)] * 3, j_structured_slots(2**10), solver_kwargs={"u_size": 3, "restarts": 4}
         )
-        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4})
         c = bin_capacity(0.2)
         assert out["liminf_estimate"] == pytest.approx(c, abs=1e-4)
-        assert out["analytic_value"] == pytest.approx(c, abs=1e-4)
+        assert interleaved_value(*out["constituents"]) == pytest.approx(c, abs=1e-4)
 
     def test_periodic(self, uniform_state):
-        seq = SequenceSpec(
-            kind="explicit-periodic",
-            channels={"a": state_blind_bsc(0.0), "b": state_blind_bsc(0.5)},
-            states={"u": uniform_state.probs},
-            period=(("a", "u"), ("b", "u")),
+        out = cesaro_capacity(
+            [(state_blind_bsc(0.0), uniform_state), (state_blind_bsc(0.5), uniform_state)],
+            np.resize([0, 1], 2**10),
+            solver_kwargs={"u_size": 3, "restarts": 4},
         )
-        out = cesaro_capacity(seq, 2**10, solver_kwargs={"u_size": 3, "restarts": 4})
         assert out["liminf_estimate"] == pytest.approx(0.5 * math.log(2), abs=1e-3)
 
     def test_rejects_small_horizon(self, uniform_state):
-        seq = SequenceSpec(kind="stationary", channels={"a": state_blind_bsc(0.1)}, states={"a": uniform_state.probs})
         with pytest.raises(ValueError):
-            cesaro_capacity(seq, 2)
+            cesaro_capacity([(state_blind_bsc(0.1), uniform_state)], np.zeros(2, int))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_slot_outside_constituents(self, uniform_state, bad):
+        slot = np.array([0, 1, 0, bad])
+        with pytest.raises(ValidationError, match="slot"):
+            cesaro_capacity([(state_blind_bsc(0.1), uniform_state)] * 2, slot)
+
+    def test_j_structured_slots(self):
+        # odd indices inside the dyadic blocks use slot 0, odd ones outside slot 1, even ones slot 2
+        expected = [2 if i % 2 == 0 else 0 if in_dyadic_blocks(i) else 1 for i in range(1, 65)]
+        np.testing.assert_array_equal(j_structured_slots(64), expected)
 
 
 class TestClosedForm:
     KW = {"u_size": 3, "restarts": 4}
 
     def test_weighted_blend_equal_channels(self, uniform_state):
-        ch = sym_bsc_kernel(0.1, 0.1)
-        v = dyadic_alternation_value(ch, ch, uniform_state, **self.KW)
-        assert v == pytest.approx(gp_capacity_dm(ch, uniform_state, **self.KW).value, abs=1e-9)
+        c = gp_capacity_dm(sym_bsc_kernel(0.1, 0.1), uniform_state, **self.KW).value
+        v = interleaved_value(c, c, c)
+        assert v == pytest.approx(c, abs=1e-9)
 
     def test_weighted_blend_arithmetic(self, uniform_state):
         # capacities c_a and c_b blend as (2/3) min + (1/3) max
         ca = gp_capacity_dm(sym_bsc_kernel(0.05, 0.05), uniform_state, **self.KW).value
         cb = gp_capacity_dm(sym_bsc_kernel(0.25, 0.25), uniform_state, **self.KW).value
-        v = dyadic_alternation_value(
-            sym_bsc_kernel(0.05, 0.05), sym_bsc_kernel(0.25, 0.25), uniform_state, **self.KW
-        )
+        v = 2 * interleaved_value(ca, cb, 0.0)
         assert v == pytest.approx((2 / 3) * min(ca, cb) + (1 / 3) * max(ca, cb), abs=1e-9)
 
     def test_all_useless_is_zero(self, uniform_state):
-        ch = sym_bsc_kernel(0.5, 0.5)
-        v = interleaved_capacity(ch, ch, ch, uniform_state, uniform_state, **self.KW)
+        c = gp_capacity_dm(sym_bsc_kernel(0.5, 0.5), uniform_state, **self.KW).value
+        v = interleaved_value(c, c, c)
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_pair_averages(self, uniform_state):
-        wa = sym_bsc_kernel(0.1, 0.1)
-        wc = sym_bsc_kernel(0.2, 0.2)
-        v = interleaved_capacity(wa, wa, wc, uniform_state, uniform_state, **self.KW)
-        ca = gp_capacity_dm(wa, uniform_state, **self.KW).value
-        cc = gp_capacity_dm(wc, uniform_state, **self.KW).value
+        ca = gp_capacity_dm(sym_bsc_kernel(0.1, 0.1), uniform_state, **self.KW).value
+        cc = gp_capacity_dm(sym_bsc_kernel(0.2, 0.2), uniform_state, **self.KW).value
+        v = interleaved_value(ca, ca, cc)
         assert v == pytest.approx(0.5 * (ca + cc), abs=1e-9)
-
-    def test_rejects_asymmetric_channels(self, uniform_state):
-        asym = ChannelKernel(np.stack([np.array([[0.9, 0.1], [0.3, 0.7]]), bsc_matrix(0.1)]))
-        with pytest.raises(ValueError):
-            interleaved_capacity(asym, asym, asym, uniform_state, uniform_state, **self.KW)
 
     def test_matches_cesaro_path(self, uniform_state):
         rng = stream(0, 22)
@@ -466,14 +458,12 @@ class TestClosedForm:
         wb = sym_bsc_kernel(qs[2], qs[3])
         wc = sym_bsc_kernel(qs[4], qs[0])
         kw = self.KW
-        closed = interleaved_capacity(wa, wb, wc, uniform_state, uniform_state, **kw)
-        seq = SequenceSpec(
-            kind="j-structured",
-            channels={"a": wa, "b": wb, "c": wc},
-            states={"a": uniform_state.probs, "b": uniform_state.probs},
+        closed = interleaved_value(*(gp_capacity_dm(w, uniform_state, **kw).value for w in (wa, wb, wc)))
+        out = cesaro_capacity(
+            [(wa, uniform_state), (wb, uniform_state), (wc, uniform_state)], j_structured_slots(2**14), solver_kwargs=kw
         )
-        out = cesaro_capacity(seq, 2**14, solver_kwargs=kw)
+        analytic = interleaved_value(*out["constituents"])
         # one blend of the same constituent solves: equal to the last bit
-        assert out["analytic_value"] == closed
-        assert out["analytic_value"] == pytest.approx(closed, abs=1e-9)
+        assert analytic == closed
+        assert analytic == pytest.approx(closed, abs=1e-9)
         assert out["liminf_estimate"] == pytest.approx(closed, abs=0.01)

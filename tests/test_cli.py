@@ -165,6 +165,20 @@ class TestCapacityCommand:
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert res.exit_code == EXIT_VALIDATION
         assert f"channels.{key}" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("part, key", [("channels", "a"), ("channels", "c"), ("states", "b")])
+    def test_j_structured_missing_key_names_it(self, tmp_path, part, key):
+        spec = {
+            "kind": "j-structured",
+            "channels": {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]},
+            "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]},
+        }
+        del spec[part][key]
+        res = run(["capacity", "--spec", str(write_spec(tmp_path, spec)), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output == f"error: {part}: missing key {key!r}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_pmf_names_key(self, tmp_path, bad):
@@ -232,6 +246,21 @@ class TestCapacityCommand:
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
         assert res.exit_code == EXIT_VALIDATION
         assert res.output.startswith("error: n_max:")
+
+    def test_n_max_above_bound_names_key(self, tmp_path):
+        spec = write_spec(
+            tmp_path,
+            {
+                "kind": "j-structured",
+                "channels": {"a": [bsc(0.05), bsc(0.05)], "b": [bsc(0.25), bsc(0.25)], "c": [bsc(0.1), bsc(0.1)]},
+                "states": {"a": [0.5, 0.5], "b": [0.5, 0.5]},
+                "n_max": 2**22 + 1,
+            },
+        )
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.output.startswith("error: n_max:")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, args",

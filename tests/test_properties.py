@@ -6,8 +6,9 @@ log-sum-exp, the spectral order statistic, the GP optimizer's
 enumeration of input maps up to relabelling, its objective and gradient
 over batch rows and component pairs, the merging of auxiliary symbols
 that share a row of the input map, the effective channel of
-an input map, the region solver's penalised objective and its
-gradient, and the one check every probability row goes through."""
+an input map, the Cesaro running averages over a slot table, the region
+solver's penalised objective and its gradient, and the one check every
+probability row goes through."""
 
 import math
 from unittest import mock
@@ -365,6 +366,32 @@ def test_stopped_rows_keep_the_never_stopping_value(k_n, l_n, data):
     assert value >= never[0] - 1e-9
     rescored = _objective_terms(v[None], states, _kernels_by_state(channels, g[None]))[0][0]
     assert rescored.tobytes() == np.float64(value).tobytes()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cesaro_averages_are_running_means_over_the_slot_table(data):
+    # constituent capacities are preset, so no GP solve runs: index i reads
+    # caps[slot[i-1]], the average at n is the plain mean of the first n
+    # reads, and the liminf surrogate is the least average over [n/2, n]
+    k = data.draw(st.integers(1, 4))
+    caps = data.draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k))
+    n = data.draw(st.integers(capacity.MIN_HORIZON, 300))
+    slot = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    solves = []
+
+    def preset(w, q, **kw):
+        solves.append(w)
+        return capacity.CapacityResult(value=caps[w], policy=None)
+
+    with mock.patch.object(capacity, "gp_capacity_dm", preset):
+        out = capacity.cesaro_capacity([(j, None) for j in range(k)], slot)
+    reads = np.array(caps)[slot]
+    means = np.array([reads[:i].mean() for i in range(1, n + 1)])
+    np.testing.assert_allclose(out["partial_averages"], means, rtol=0, atol=1e-12)
+    assert out["liminf_estimate"] == pytest.approx(means[n // 2 - 1:].min(), rel=0, abs=1e-12)
+    assert out["constituents"] == caps
+    assert solves == list(range(k))
 
 
 @st.composite
