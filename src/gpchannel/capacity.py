@@ -32,6 +32,9 @@ from .rng import stream
 _LOG_FLOOR = 1e-26
 _EXHAUSTIVE_G_CAP = 10**6
 _HEURISTIC_MAPS = 256
+# the most (start row, s, u, component pair, y) cells a GP search's kernels
+# may hold: 2^24 float64 cells take 128 MiB per array
+_MAX_CELLS = 2**24
 _USED_MASS = 1e-6
 _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # GP optimizer starts per relabelling class (per sampled map in heuristic
@@ -244,7 +247,8 @@ def optimize_gp_policy(
     maps a sample would draw, else over a seeded sample of maps. Each
     class or sampled map gets `restarts` starts: the uniform law, then
     Dirichlet draws. A last start ignores the state: the best input law
-    of the averaged channel.
+    of the averaged channel. A search whose kernels would hold more than
+    _MAX_CELLS (start row, s, u, k, l, y) cells raises ValidationError.
 
     Each iteration takes the entropic step v <- v exp(step grad / rho),
     rows renormalised, on the weighted objective
@@ -271,11 +275,17 @@ def optimize_gp_policy(
         raise ValidationError("u_size must be >= 1")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
-    g_count = n_inputs ** (u_size * n_states)
+    n_outputs = channels[0].shape[2]
     class_count = math.comb(n_inputs**n_states + u_size - 1, u_size)
+    # a class holds at least one map, so |X|^(|U||S|) is only taken for few classes
     exhaustive = class_count <= _HEURISTIC_MAPS or (
-        g_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, channels[0].shape[2]) <= 4
+        class_count <= _EXHAUSTIVE_G_CAP and max(n_states, n_inputs, n_outputs) <= 4
+        and n_inputs ** (u_size * n_states) <= _EXHAUSTIVE_G_CAP
     )
+    start_rows = (class_count if exhaustive else _HEURISTIC_MAPS) * restarts + 1
+    cells = start_rows * n_states * u_size * len(channels) * len(states) * n_outputs
+    if cells > _MAX_CELLS:
+        raise ValidationError(f"u_size: {u_size} needs {cells} kernel cells over {start_rows} start rows, above {_MAX_CELLS}")
     rng = stream(seed, 0xC0DE)
     if exhaustive:
         g_tables = _relabelling_classes(u_size, n_states, n_inputs)

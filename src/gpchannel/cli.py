@@ -279,7 +279,7 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         spec["channel"], spec["state"],
         v_size=spec.get("v_size") if v_size is None else v_size,
         u_size=spec.get("u_size") if u_size is None else u_size,
-        rd_grid=np.asarray(rd_grid, dtype=np.float64), restarts=restarts, seed=seed,
+        rd_grid=rd_grid, restarts=restarts, seed=seed,
     )
     _write_csv(
         out / "frontier.csv", header, ["r_d_nats", "r_nats"],

@@ -9,19 +9,18 @@ the pairs (R, R_d) with
 
 over auxiliary laws P(v|s), P(u|v,s) and deterministic maps
 x = g(u,v,s). The frontier solver puts an exact penalty on the description
-constraint because the constraint set is nonconvex, then re-checks
-feasibility exactly and anchors the endpoints with two closed-form
-candidate policies (degenerate V at R_d = 0; V = S at large R_d).
+constraint because the constraint set is nonconvex. It scores every
+policy it produces exactly: two closed-form anchors (degenerate V at
+R_d = 0; V = S at large R_d) and the rounded policy of each penalty
+solve. Each budget then reads the best scored policy that fits it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import softmax
 
 from .capacity import gp_capacity_dm, state_at_both_capacity
 from .info import conditional_mutual_information, mutual_information
@@ -47,7 +46,6 @@ class RegionPoint:
     r: float
     r_d: float
     policy: RegionPolicy
-    diagnostics: dict
 
 
 def _kernel_rates(pv, pu, wg, q) -> tuple[float, float]:
@@ -61,24 +59,20 @@ def _kernel_rates(pv, pu, wg, q) -> tuple[float, float]:
     return i_uy_v - i_us_v, i_vs - i_vy
 
 
-def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> dict:
-    """Exact single-letter rates for one policy."""
+def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> tuple[float, float]:
+    """Exact single-letter (message rate, description rate) of one policy."""
     # W_g[v,s,u,y] = W(y | g[u,v,s], s): the maps g[u] batched over u
     wg = effective_kernel(channel.w, np.asarray(policy.x_map, dtype=np.int64)).transpose(1, 2, 0, 3)
-    rate, cost = _kernel_rates(
+    return _kernel_rates(
         np.asarray(policy.v_given_s, dtype=np.float64), np.asarray(policy.u_given_vs, dtype=np.float64),
         wg, state.probs,
     )
-    return {"message_rate": rate, "description_rate": cost}
 
 
 def region_membership(point: RegionPoint, channel: ChannelKernel, state: Pmf) -> bool:
     """Exact check of both inequalities for the point's own policy."""
-    rates = _rates(point.policy, channel, state)
-    return (
-        point.r <= rates["message_rate"] + 1e-9
-        and point.r_d >= rates["description_rate"] - 1e-9
-    )
+    rate, cost = _rates(point.policy, channel, state)
+    return point.r <= rate + 1e-9 and point.r_d >= cost - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +102,17 @@ def _anchor_policy(v_rows: np.ndarray, gp_policy: GPPolicy, u_size: int) -> Regi
 PENALTY_MU = 2.0
 
 
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _unpack(theta, n_s, v_size, u_size, n_x):
     a = n_s * v_size
     b = v_size * n_s * u_size
-    pv = softmax(theta[:a].reshape(n_s, v_size), axis=-1)
-    pu = softmax(theta[a : a + b].reshape(v_size, n_s, u_size), axis=-1)
-    px = softmax(theta[a + b :].reshape(u_size, v_size, n_s, n_x), axis=-1)
+    pv = _softmax(theta[:a].reshape(n_s, v_size))
+    pu = _softmax(theta[a : a + b].reshape(v_size, n_s, u_size))
+    px = _softmax(theta[a + b :].reshape(u_size, v_size, n_s, n_x))
     return pv, pu, px
 
 
@@ -158,25 +157,20 @@ def _penalty_value_and_grad(theta, w, q, v_size, u_size, mu, r_d):
 
 
 def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
+    """The rounded policy of each penalty solve at budget r_d."""
     n_s, n_x = channel.n_states, channel.n_inputs
     dim = n_s * v_size + v_size * n_s * u_size + u_size * v_size * n_s * n_x
     rng = stream(seed, 0x8E61, int(round(r_d * 1e6)))
-    best = None
-    for restart in range(restarts):
+    policies = []
+    for _ in range(restarts):
         res = minimize(
             _penalty_value_and_grad, rng.normal(scale=1.5, size=dim),
             args=(channel.w, state.probs, v_size, u_size, PENALTY_MU, r_d),
             jac=True, method="L-BFGS-B", options={"maxiter": 120},
         )
         pv, pu, px = _unpack(res.x, n_s, v_size, u_size, n_x)
-        g = px.argmax(axis=-1).astype(np.int64)
-        policy = RegionPolicy(v_given_s=pv, u_given_vs=pu, x_map=g)
-        rates = _rates(policy, channel, state)
-        if rates["description_rate"] > r_d + 1e-9:
-            continue
-        if best is None or rates["message_rate"] > best[0]:
-            best = (rates["message_rate"], policy)
-    return best
+        policies.append(RegionPolicy(v_given_s=pv, u_given_vs=pu, x_map=px.argmax(axis=-1).astype(np.int64)))
+    return policies
 
 
 def region_frontier(
@@ -184,68 +178,50 @@ def region_frontier(
     state: Pmf,
     v_size: int | None = None,
     u_size: int | None = None,
-    rd_grid=None,
     *,
+    rd_grid,
     restarts: int = 6,
     seed: int = 0,
 ) -> list[RegionPoint]:
-    """Best message rate per description-rate budget, monotonized.
+    """Best message rate per description-rate budget, budgets ascending.
 
-    Each grid point maximizes the message rate subject to the
-    description cost fitting the budget; two closed-form candidate
-    policies anchor the R_d = 0 and saturation endpoints, and a running
-    maximum enforces monotonicity (a larger budget can always reuse a
-    smaller budget's policy).
+    Every policy the solver produces is scored exactly once: the two
+    closed-form anchors and the rounded policy of each penalty solve.
+    Each budget then gets the best scored policy whose description cost
+    fits it (ties go to the earliest, anchors first), so the frontier is
+    monotone and every point passes region_membership, whatever the
+    order of rd_grid.
     """
-    bound_v = channel.n_inputs * channel.n_states + 1
-    bound_u = channel.n_inputs * channel.n_states * bound_v
+    n_s, n_x = channel.n_states, channel.n_inputs
+    bound_v = n_x * n_s + 1
     v_size = bound_v if v_size is None else v_size
-    u_size = bound_u if u_size is None else u_size
+    u_size = n_x * n_s * bound_v if u_size is None else u_size
     for name, value in (("v_size", v_size), ("u_size", u_size), ("restarts", restarts)):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1")
-    if rd_grid is None:
-        rd_grid = np.linspace(0.0, math.log(max(channel.n_states, 2)), 9)
     rd_grid = np.asarray(rd_grid, dtype=np.float64)
     if rd_grid.size == 0:
         raise ValidationError("rd_grid holds no description-rate budget")
-    if (rd_grid < 0).any():
-        raise ValidationError("description-rate budgets must be non-negative")
+    if not (rd_grid >= 0).all():
+        raise ValidationError("rd_grid: description-rate budgets must be non-negative numbers")
+    rd_grid = np.sort(rd_grid)
 
-    n_s, n_x = channel.n_states, channel.n_inputs
     # V carries nothing: the encoder-only optimum is feasible at R_d = 0
     gp = gp_capacity_dm(channel, state, u_size=min(u_size, n_x * n_s + 1), restarts=restarts, seed=seed)
-    anchors = [_anchor_policy(np.tile(np.eye(1, v_size), (n_s, 1)), gp.policy, u_size)]
+    policies = [_anchor_policy(np.tile(np.eye(1, v_size), (n_s, 1)), gp.policy, u_size)]
     if v_size >= n_s and u_size >= n_x:
         # V = S: per-state optimal inputs give the two-sided capacity once
         # R_d covers the description cost
-        anchors.append(_anchor_policy(np.eye(n_s, v_size), state_at_both_capacity(channel, state).policy, u_size))
-    anchor_rates = [(_rates(pol, channel, state), pol) for pol in anchors]
-
-    points: list[RegionPoint] = []
-    best_so_far: tuple[float, RegionPolicy] | None = None
+        policies.append(_anchor_policy(np.eye(n_s, v_size), state_at_both_capacity(channel, state).policy, u_size))
     for r_d in rd_grid:
-        # the degenerate-V anchor costs 0, so the pool is never empty on the non-negative grid
-        pool = [(rates["message_rate"], pol) for rates, pol in anchor_rates if rates["description_rate"] <= r_d + 1e-9]
-        opt = _optimize_grid_point(channel, state, v_size, u_size, float(r_d), restarts, seed)
-        if opt is not None:
-            pool.append(opt)
-        if best_so_far is not None:
-            pool.append(best_so_far)
-        rate, pol = max(pool, key=lambda t: t[0])
-        best_so_far = (rate, pol)
-        points.append(
-            RegionPoint(
-                r=max(rate, 0.0),
-                r_d=float(r_d),
-                policy=pol,
-                diagnostics={
-                    "v_size": v_size,
-                    "u_size": u_size,
-                    "cardinality_bounds": (bound_v, bound_u),
-                },
-            )
-        )
+        policies += _optimize_grid_point(channel, state, v_size, u_size, float(r_d), restarts, seed)
+    scored = [(*_rates(pol, channel, state), pol) for pol in policies]
+
+    points = []
+    for r_d in rd_grid:
+        # the degenerate-V anchor costs 0, so some policy fits every non-negative budget
+        rate, _, pol = max((c for c in scored if c[1] <= r_d + 1e-9), key=lambda c: c[0])
+        points.append(RegionPoint(r=max(rate, 0.0), r_d=float(r_d), policy=pol))
     return points
 
 

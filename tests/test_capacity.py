@@ -174,6 +174,33 @@ class TestGPCapacity:
         assert res.value == pytest.approx(blahut_arimoto(w[0])[0], abs=1e-6)
 
 
+class TestSearchSize:
+    """optimize_gp_policy refuses a search whose kernels would not fit
+    before it draws a start or builds a map."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+        monkeypatch.setattr(capacity, "stream", started)
+        return Started
+
+    def test_u_size_too_large_rejected(self, uniform_state, no_search):
+        w = state_flip_bsc(0.1).w
+        # 256 sampled maps x 20 starts + 1 rows of 2 x 100000 x 2 cells
+        with pytest.raises(ValidationError, match="u_size: 100000 needs 2048400000 kernel cells"):
+            optimize_gp_policy([uniform_state.probs], [w], 100000)
+
+    def test_largest_known_search_allowed(self, no_search):
+        # |S| = |X| = 3, |Y| = 2 at |U| = 4: 27405 classes x 20 starts + 1 rows, 13.2 M cells
+        w = stream(0, 26).dirichlet(np.ones(2), size=(3, 3))
+        with pytest.raises(no_search):
+            optimize_gp_policy([np.full(3, 1 / 3)], [w], 4)
+
+
 class TestMapClasses:
     """The optimizer runs its starts once per relabelling class of maps,
     on the class's smallest map."""

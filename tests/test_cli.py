@@ -194,6 +194,16 @@ class TestCapacityCommand:
         assert res.exit_code == EXIT_VALIDATION
         assert "u_size" in res.output
 
+    def test_u_size_beyond_search_rejected(self, tmp_path, monkeypatch):
+        import gpchannel.capacity as capacity
+
+        # a search that starts would allocate gigabytes: fail it instead
+        monkeypatch.setattr(capacity, "stream", None)
+        spec = write_spec(tmp_path, system_spec(u_size=100000))
+        res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "u_size" in res.output
+
     def test_mixture_zero_u_size_rejected(self, tmp_path):
         spec = write_spec(tmp_path, dict(mixture_spec(), u_size=0))
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -540,6 +550,17 @@ class TestRegionCommand:
         assert len(rows) == 2
         assert rows[0][1] <= rows[1][1] + 1e-9
         assert (out / "region_policies.txt").exists()
+
+    def test_unsorted_grid_writes_ascending_rows(self, tmp_path):
+        spec = write_spec(tmp_path, system_spec(channel=[bsc(0.02), bsc(0.3)], rd_grid=[0.7, 0.0]))
+        out = tmp_path / "out"
+        res = run(["region", "--spec", str(spec), "--out", str(out),
+                   "--v-size", "3", "--u-size", "4", "--restarts", "2"])
+        assert res.exit_code == 0
+        lines = (out / "frontier.csv").read_text(encoding="utf-8").splitlines()
+        rows = [tuple(map(float, l.split(","))) for l in lines[4:]]
+        assert [r_d for r_d, _ in rows] == [0.0, 0.7]
+        assert rows[0][1] <= rows[1][1]
 
     def test_negative_grid(self, tmp_path):
         spec = write_spec(tmp_path, system_spec(rd_grid=[-1.0, 0.0]))

@@ -7,8 +7,8 @@ enumeration of input maps up to relabelling, its objective and gradient
 over batch rows and component pairs, the merging of auxiliary symbols
 that share a row of the input map, the effective channel of
 an input map, the Cesaro running averages over a slot table, the region
-solver's penalised objective and its gradient, and the one check every
-probability row goes through."""
+solver's softmax, its penalised objective and its gradient, and the one
+check every probability row goes through."""
 
 import math
 from unittest import mock
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from gpchannel import kernels
 import gpchannel.capacity as capacity
@@ -26,7 +26,7 @@ from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sam
 from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
 from gpchannel.mixture import _logsumexp
 from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
-from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _unpack
+from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _softmax, _unpack
 
 from conftest import full_product_maps
 
@@ -208,6 +208,18 @@ def test_mixture_logsumexp_is_scipys_bit_for_bit(rows):
     a = np.array(rows, dtype=np.float64)
     got, want = _logsumexp(a), logsumexp(a, axis=0)
     assert got.shape == want.shape == a.shape[1:]
+    assert got.tobytes() == want.tobytes()
+
+
+_thetas = st.one_of(st.sampled_from([0.0, -1.5, 2.0]), st.floats(-1000.0, 1000.0))  # repeats make ties
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(_thetas, min_size=m, max_size=m), min_size=1, max_size=8)))
+def test_region_softmax_is_scipys_bit_for_bit(rows):
+    a = np.array(rows, dtype=np.float64)
+    got, want = _softmax(a), softmax(a, axis=-1)
+    assert got.shape == want.shape == a.shape
     assert got.tobytes() == want.tobytes()
 
 

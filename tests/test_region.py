@@ -24,6 +24,14 @@ def asym_bsc():
     return ChannelKernel(np.stack([w0, w1]))
 
 
+def probe_system():
+    """The first seeded random binary 2-state system; at (v, u) = (3, 4)
+    its 3rd budget's own solves fall short of a solve made for another budget."""
+    rng = np.random.default_rng(20261019)
+    w = rng.dirichlet(np.ones(2), (2, 2))
+    return ChannelKernel(w), Pmf(rng.dirichlet(np.ones(2)))
+
+
 def trivial_policy(v_size=1, u_size=2, n_s=2):
     v = np.zeros((n_s, v_size))
     v[:, 0] = 1.0
@@ -36,15 +44,15 @@ class TestRatesAndMembership:
     def test_rates_self_consistent_membership(self, uniform_state):
         channel = state_flip_bsc(0.1)
         pol = trivial_policy()
-        rates = _rates(pol, channel, uniform_state)
-        pt = RegionPoint(r=rates["message_rate"], r_d=rates["description_rate"], policy=pol, diagnostics={})
+        rate, cost = _rates(pol, channel, uniform_state)
+        pt = RegionPoint(r=rate, r_d=cost, policy=pol)
         assert region_membership(pt, channel, uniform_state)
 
     def test_inflated_rate_rejected(self, uniform_state):
         channel = state_flip_bsc(0.1)
         pol = trivial_policy()
-        rates = _rates(pol, channel, uniform_state)
-        bad = RegionPoint(r=rates["message_rate"] + 0.05, r_d=1.0, policy=pol, diagnostics={})
+        rate, _ = _rates(pol, channel, uniform_state)
+        bad = RegionPoint(r=rate + 0.05, r_d=1.0, policy=pol)
         assert not region_membership(bad, channel, uniform_state)
 
     def test_understated_description_rejected(self, uniform_state):
@@ -54,9 +62,9 @@ class TestRatesAndMembership:
         u = np.full((2, 2, 2), 0.5)
         g = np.tile(np.arange(2)[:, None, None], (1, 2, 2))
         pol = RegionPolicy(v_given_s=v, u_given_vs=u, x_map=g)
-        rates = _rates(pol, channel, uniform_state)
-        assert rates["description_rate"] > 1e-3
-        pt = RegionPoint(r=0.0, r_d=0.0, policy=pol, diagnostics={})
+        _, cost = _rates(pol, channel, uniform_state)
+        assert cost > 1e-3
+        pt = RegionPoint(r=0.0, r_d=0.0, policy=pol)
         assert not region_membership(pt, channel, uniform_state)
 
     def test_policy_row_validation(self):
@@ -81,6 +89,40 @@ class TestFrontier:
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[-0.1, 0.0])
         with pytest.raises(ValidationError, match="rd_grid"):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[])
+        with pytest.raises(ValidationError, match="rd_grid"):
+            region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0, math.nan])
+
+    def test_unsorted_grid_reads_as_sorted(self, uniform_state):
+        bsc = lambda p: np.array([[1 - p, p], [p, 1 - p]])
+        channel = ChannelKernel(np.stack([bsc(0.02), bsc(0.3)]))
+        kw = dict(v_size=3, u_size=4, restarts=2)
+        pts = region_frontier(channel, uniform_state, rd_grid=[0.7, 0.0], **kw)
+        want = region_frontier(channel, uniform_state, rd_grid=[0.0, 0.7], **kw)
+        assert [pt.r_d for pt in pts] == [0.0, 0.7]
+        for pt, ref in zip(pts, want):
+            assert region_membership(pt, channel, uniform_state)
+            assert (pt.r, pt.r_d) == (ref.r, ref.r_d)
+            for a, b in zip(vars(pt.policy).values(), vars(ref.policy).values()):
+                np.testing.assert_array_equal(a, b)
+
+    def test_each_budget_reads_best_scored_policy_that_fits(self, monkeypatch):
+        import gpchannel.region as region
+
+        channel, state = probe_system()
+        scored = []
+        rates = region._rates
+
+        def recording(*args):
+            scored.append(rates(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(region, "_rates", recording)
+        grid = np.linspace(0.0, math.log(2), 5)
+        pts = region_frontier(channel, state, v_size=3, u_size=4, rd_grid=grid, restarts=3, seed=0)
+        # each policy is scored once: two anchors and three solves per budget
+        assert len(scored) == 2 + 3 * grid.size
+        for pt in pts:
+            assert pt.r == max(0.0, max(rate for rate, cost in scored if cost <= pt.r_d + 1e-9))
 
     def test_anchor_solves_at_the_region_restarts(self, uniform_state, monkeypatch):
         import gpchannel.region as region
@@ -132,8 +174,9 @@ class TestFrontier:
     def test_endpoints_state_flip_at_cardinality_bounds(self, uniform_state):
         channel = state_flip_bsc(0.1)
         pts = region_frontier(channel, uniform_state, rd_grid=[0.0, math.log(2)], restarts=1, seed=0)
-        diag = pts[0].diagnostics
-        assert (diag["v_size"], diag["u_size"]) == diag["cardinality_bounds"] == (5, 20)
+        # |V| = |X||S| + 1 = 5 and |U| = |X||S||V| = 20
+        assert pts[0].policy.v_given_s.shape == (2, 5)
+        assert pts[0].policy.u_given_vs.shape == (5, 2, 20)
         gp = gp_capacity_dm(channel, uniform_state, restarts=1, seed=0)
         both = state_at_both_capacity(channel, uniform_state).value
         assert pts[0].r == pytest.approx(gp.value, abs=2e-3)
