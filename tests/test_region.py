@@ -14,7 +14,7 @@ from gpchannel.region import (
     saturation_knee,
 )
 
-from conftest import bin_capacity, state_blind_bsc, state_flip_bsc
+from conftest import bin_capacity, bsc_matrix, state_blind_bsc, state_flip_bsc
 
 
 def asym_bsc():
@@ -93,8 +93,7 @@ class TestFrontier:
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0, math.nan])
 
     def test_unsorted_grid_reads_as_sorted(self, uniform_state):
-        bsc = lambda p: np.array([[1 - p, p], [p, 1 - p]])
-        channel = ChannelKernel(np.stack([bsc(0.02), bsc(0.3)]))
+        channel = ChannelKernel(np.stack([bsc_matrix(0.02), bsc_matrix(0.3)]))
         kw = dict(v_size=3, u_size=4, restarts=2)
         pts = region_frontier(channel, uniform_state, rd_grid=[0.7, 0.0], **kw)
         want = region_frontier(channel, uniform_state, rd_grid=[0.0, 0.7], **kw)
