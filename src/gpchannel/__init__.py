@@ -37,7 +37,7 @@ from .info import (
     spectral_rate_estimate,
 )
 from .mixture import MixtureSpec, maximize_mixed_lower_bound, mixed_lower_bound, mixture_spectrum_demo
-from .prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, effective_kernel
+from .prob import ChannelKernel, GPPolicy, Pmf, effective_kernel
 from .region import RegionPoint, RegionPolicy, region_frontier, region_membership
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .info import mutual_information
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, effective_kernel
+from .prob import ChannelKernel, DimensionError, GPPolicy, Pmf, ValidationError, effective_kernel
 from .rng import stream
 
 _LOG_FLOOR = 1e-26
@@ -34,7 +34,7 @@ _EXHAUSTIVE_G_CAP = 10**6
 _HEURISTIC_MAPS = 256
 # the most (start row, s, u, component pair, y) cells a GP search's kernels
 # may hold: 2^24 float64 cells take 128 MiB per array
-_MAX_CELLS = 2**24
+MAX_CELLS = 2**24
 _USED_MASS = 1e-6
 _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # GP optimizer starts per relabelling class (per sampled map in heuristic
@@ -94,24 +94,6 @@ def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray]:
     return max(mutual_information(q), 0.0), r
 
 
-def no_state_capacity(channel) -> CapacityResult:
-    """Capacity of a stateless kernel (|S| = 1 ChannelKernel or 2-d matrix)."""
-    if isinstance(channel, ChannelKernel):
-        if channel.n_states != 1:
-            raise DimensionError("no_state_capacity expects a stateless kernel")
-        w = channel.w[0]
-    else:
-        w = np.asarray(channel, dtype=np.float64)
-    value, r = blahut_arimoto(w)
-    nx = w.shape[0]
-    policy = GPPolicy(
-        u_given_s=ConditionalPmf(r[None, :]),
-        x_map=np.arange(nx, dtype=np.int64)[:, None],
-    )
-    diagnostics = {"method": "blahut-arimoto", "upper_bound": float(_divergences(w, r).max())}
-    return CapacityResult(value=value, policy=policy, diagnostics=diagnostics)
-
-
 def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult:
     """State known at encoder and decoder: sum_s P(s) C(W(.|.,s)).
 
@@ -121,16 +103,26 @@ def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult
     """
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
-    per_state = [(float(q_s), no_state_capacity(w_s)) for q_s, w_s in zip(state.probs, channel.w)]
-    value = sum(q_s * res.value for q_s, res in per_state)
-    bound = sum(q_s * res.diagnostics["upper_bound"] for q_s, res in per_state)
-    rows = np.stack([res.policy.u_given_s.rows[0] for _, res in per_state])  # u indexes x, chosen per state
+    value = bound = 0.0
+    rows = []  # u indexes x, chosen per state
+    for q_s, w_s in zip(state.probs, channel.w):
+        c, r = blahut_arimoto(w_s)
+        value += float(q_s) * c
+        bound += float(q_s) * float(_divergences(w_s, r).max())
+        rows.append(r)
     policy = GPPolicy(
-        u_given_s=ConditionalPmf(rows),
+        u_given_s=np.stack(rows),
         x_map=np.tile(np.arange(channel.n_inputs, dtype=np.int64)[:, None], (1, channel.n_states)),
     )
-    diagnostics = {"method": "per-state blahut-arimoto", "upper_bound": bound}
-    return CapacityResult(value=value, policy=policy, diagnostics=diagnostics)
+    return CapacityResult(value=value, policy=policy, diagnostics={"upper_bound": bound})
+
+
+def no_state_capacity(channel: ChannelKernel) -> CapacityResult:
+    """Capacity of a stateless (|S| = 1) kernel: the one-state case of
+    state_at_both_capacity."""
+    if channel.n_states != 1:
+        raise DimensionError("no_state_capacity expects a stateless kernel")
+    return state_at_both_capacity(channel, Pmf([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def optimize_gp_policy(
     class or sampled map gets `restarts` starts: the uniform law, then
     Dirichlet draws. A last start ignores the state: the best input law
     of the averaged channel. A search whose kernels would hold more than
-    _MAX_CELLS (start row, s, u, k, l, y) cells raises ValidationError.
+    MAX_CELLS (start row, s, u, k, l, y) cells raises ValidationError.
 
     Each iteration takes the entropic step v <- v exp(step grad / rho),
     rows renormalised, on the weighted objective
@@ -284,8 +276,8 @@ def optimize_gp_policy(
     )
     start_rows = (class_count if exhaustive else _HEURISTIC_MAPS) * restarts + 1
     cells = start_rows * n_states * u_size * len(channels) * len(states) * n_outputs
-    if cells > _MAX_CELLS:
-        raise ValidationError(f"u_size: {u_size} needs {cells} kernel cells over {start_rows} start rows, above {_MAX_CELLS}")
+    if cells > MAX_CELLS:
+        raise ValidationError(f"u_size: {u_size} needs {cells} kernel cells over {start_rows} start rows, above {MAX_CELLS}")
     rng = stream(seed, 0xC0DE)
     if exhaustive:
         g_tables = _relabelling_classes(u_size, n_states, n_inputs)
@@ -401,7 +393,7 @@ def gp_capacity_dm(
     value, v, g, diag = optimize_gp_policy([state.probs], [channel.w], u_size, restarts=restarts, seed=seed)
     value = max(value, 0.0)
     cap = math.log(channel.n_outputs)
-    policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
+    policy = GPPolicy(u_given_s=v, x_map=g)
     # I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault
     diag["value_clipped"] = value > cap
     value = min(value, cap)

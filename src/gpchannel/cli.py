@@ -39,7 +39,7 @@ from .coding import TRIAL_COLUMNS, BudgetError, MemorylessSystem, design_experim
 from .info import DEFAULT_DELTA, SampleBudgetError, spectral_rate_estimate
 from .mixture import maximize_mixed_lower_bound, mixture_spectrum_demo
 from .prob import ValidationError
-from .region import region_frontier, saturation_knee
+from .region import RESTARTS as REGION_RESTARTS, region_frontier, saturation_knee
 from .specio import SpecError, load_spec
 
 EXIT_VALIDATION = 2
@@ -89,9 +89,9 @@ def _capacity_lines(res, kind_line: str) -> list[str]:
     lines = [f"value_nats={res.value:.12g}", kind_line]
     lines += [f"diagnostics.{k}={v}" for k, v in sorted(res.diagnostics.items())]
     lines.append("policy.u_given_s:")
-    lines += [f"  {np.array2string(row, precision=9)}" for row in res.policy.u_given_s.rows]
+    lines += [f"  {np.array2string(row, precision=9)}" for row in res.policy.u_given_s]
     lines.append("policy.g:")
-    lines.append(f"  {np.array2string(np.asarray(res.policy.x_map))}")
+    lines.append(f"  {np.array2string(res.policy.x_map)}")
     return lines
 
 
@@ -248,7 +248,7 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
         f"gamma1={experiment.gamma1:.6g}", f"gamma2={experiment.gamma2:.6g}",
         f"empirical_error={report.empirical_error:.6g}",
         f"error_ci_low={report.error_ci[0]:.6g}", f"error_ci_high={report.error_ci[1]:.6g}",
-        f"pi1={report.pi1:.6g}", f"pi2={report.pi2:.6g}",
+        f"pi1={report.pi['pi1']:.6g}", f"pi2={report.pi['pi2']:.6g}",
     ]
     lines += [f"rho_term.{k}={v:.6g}" for k, v in report.rho_terms.items()]
     lines += [f"event_rate.{k}={v:.6g}" for k, v in rates.items()]
@@ -264,14 +264,13 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
 @common_options
 @click.option("--v-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's v_size, then the cardinality bound.")
 @click.option("--u-size", default=None, type=click.IntRange(min=1), help="Defaults to the spec's u_size, then the cardinality bound.")
-@click.option("--restarts", default=6, show_default=True, type=click.IntRange(min=1))
+@click.option("--restarts", default=REGION_RESTARTS, show_default=True, type=click.IntRange(min=1))
 @click.option("--grid-points", default=9, show_default=True, type=click.IntRange(min=1))
 def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_points):
     """(R, R_d) frontier for a rate-limited state description at the decoder."""
     spec = load_spec(spec_path)
     if spec["kind"] != "system":
         raise SpecError("region requires a system spec")
-    out, header = _output(out_dir, seed, spec_path)
     rd_grid = spec.get("rd_grid")
     if rd_grid is None:
         rd_grid = np.linspace(0.0, math.log(max(spec["channel"].n_states, 2)), grid_points)
@@ -281,6 +280,7 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         u_size=spec.get("u_size") if u_size is None else u_size,
         rd_grid=rd_grid, restarts=restarts, seed=seed,
     )
+    out, header = _output(out_dir, seed, spec_path)
     _write_csv(
         out / "frontier.csv", header, ["r_d_nats", "r_nats"],
         ((f"{p.r_d:.12g}", f"{p.r:.12g}") for p in points),
@@ -291,7 +291,7 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         lines.append(f"point r_d={p.r_d:.12g} r={p.r:.12g}")
         lines.append(f"  v_given_s={np.array2string(p.policy.v_given_s, precision=6)}")
         lines.append(f"  u_given_vs={np.array2string(p.policy.u_given_vs, precision=6)}")
-        lines.append(f"  g={np.array2string(np.asarray(p.policy.x_map))}")
+        lines.append(f"  g={np.array2string(p.policy.x_map)}")
     _write_text(out / "region_policies.txt", header, lines)
     click.echo(f"wrote {out / 'frontier.csv'}")
 

@@ -31,7 +31,7 @@ atypicality E2, confusion E3) so the error decomposition is auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -51,6 +51,8 @@ _MESSAGE_LABEL_CAP = 2**62
 # implicit covering scans stop after this many fresh candidates and
 # extrapolate the failure mass of the rest of the bin
 SCAN_CAP = 256
+# Monte-Carlo draws per eta estimate and per confusion estimate in a trial
+INNER_DRAWS = 200
 
 
 class BudgetError(RuntimeError):
@@ -66,7 +68,7 @@ class MemorylessSystem:
     channel: ChannelKernel
 
     def __post_init__(self):
-        if self.policy.n_states != self.state.size or self.channel.n_states != self.state.size:
+        if self.policy.u_given_s.shape[0] != self.state.size or self.channel.n_states != self.state.size:
             raise DimensionError("state alphabet size disagrees across inputs")
 
     @cached_property
@@ -77,7 +79,7 @@ class MemorylessSystem:
     @cached_property
     def p_suy(self) -> np.ndarray:
         """(S,U,Y) single-letter law P(s) P(u|s) W(y|g(u,s),s)."""
-        q, v = self.state.probs, self.policy.u_given_s.rows
+        q, v = self.state.probs, self.policy.u_given_s
         return q[:, None, None] * (v[:, :, None] * self.p_y_given_us.transpose(1, 0, 2))
 
     @cached_property
@@ -217,9 +219,10 @@ def bernoulli_sigma(p: float, n: int) -> float:
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     if total <= 0:
         raise ValidationError("zero draws")
+    z = 1.96  # two-sided 95%
     p = successes / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
@@ -408,13 +411,6 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
     return Codebook(words=words, subcodebook_size=experiment.subcodebook_size, message_count=experiment.message_count)
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    l_index: int
-    u_block: np.ndarray
-    covering_failed: bool
-
-
 def _covering_scan(candidates, s_block, system, thresholds, covering_threshold, inner_draws, rng):
     """First-index covering scan over an iterable of codeword blocks.
 
@@ -441,8 +437,9 @@ def encode(
     covering_threshold: float,
     inner_draws: int,
     rng,
-) -> EncodeResult:
-    """First-index covering scan over the message's bin.
+) -> tuple[int, np.ndarray, bool]:
+    """First-index covering scan over the message's bin: (codebook index
+    L, codeword, failed).
 
     A codeword qualifies when its estimated eta is at most the covering
     threshold (sqrt(pi1) in the designed scheme). If none qualifies the
@@ -452,7 +449,7 @@ def encode(
     position, u_block, failed = _covering_scan(
         codebook.words[lo:hi], s_block, system, thresholds, covering_threshold, inner_draws, rng
     )
-    return EncodeResult(l_index=lo + position, u_block=u_block, covering_failed=failed)
+    return lo + position, u_block, failed
 
 
 def decode(
@@ -513,13 +510,10 @@ class ExperimentReport:
     trials: tuple
     empirical_error: float
     error_ci: tuple
-    rho_n: float
-    rho_terms: dict
-    pi1: float
-    pi2: float
+    rho_terms: dict  # rho_bound's terms and their sum rho_n
+    pi: dict  # estimate_pi's frequencies with their Wilson intervals
     mode: str
     converse_mode: bool
-    diagnostics: dict = field(default_factory=dict)
 
     def event_rates(self) -> dict:
         t = len(self.trials)
@@ -532,7 +526,8 @@ class ExperimentReport:
     @property
     def error_within_bound(self) -> bool:
         """The empirical error is at most rho_n plus three standard errors."""
-        return self.empirical_error <= self.rho_n + 3 * bernoulli_sigma(self.empirical_error, len(self.trials))
+        sigma = bernoulli_sigma(self.empirical_error, len(self.trials))
+        return self.empirical_error <= self.rho_terms["rho_n"] + 3 * sigma
 
 
 def rho_bound(pi1: float, pi2: float, n: int, gamma1: float, gamma2: float) -> dict:
@@ -551,7 +546,6 @@ def _confusion_probability(
     y_block: np.ndarray,
     thresholds: TypicalityThresholds,
     log_k_out: float,
-    inner_draws: int,
     rng,
 ) -> float:
     """P(some independent codeword is T1-typical with y_block).
@@ -568,17 +562,17 @@ def _confusion_probability(
     n = y_block.size
     y_counts = np.bincount(y_block, minlength=system.p_y.size)
     # one class per output symbol y: its codeword cells draw from P(u|y)
-    d = _block_densities(y_counts, system.p_u_given_y.T, system.d_uy.T, inner_draws, rng)
+    d = _block_densities(y_counts, system.p_u_given_y.T, system.d_uy.T, INNER_DRAWS, rng)
     neg = -d[d >= n * thresholds.t1]
     if neg.size == 0:
         return 0.0
     top = float(neg.max())
-    log_q = top + math.log(float(np.exp(neg - top).sum())) - math.log(inner_draws)
+    log_q = top + math.log(float(np.exp(neg - top).sum())) - math.log(INNER_DRAWS)
     exponent = math.exp(min(log_k_out + log_q, 50.0))
     return -math.expm1(-exponent)
 
 
-def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
+def _trials(system, experiment, thresholds, pi, codebook=None):
     """The per-trial path of both modes: yields (trial, message, L, e1,
     e2, y_block, rng), rng being the trial's own stream.
 
@@ -605,7 +599,7 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
         if codebook is None:
             candidates = (draw(system.u_bounds, rng.random(n)) for _ in range(scan_limit))
             l_index, u_block, e1 = _covering_scan(
-                candidates, s_block, system, thresholds, covering_threshold, inner_draws, rng
+                candidates, s_block, system, thresholds, covering_threshold, INNER_DRAWS, rng
             )
             if e1 and log_sub > math.log(scan_limit) + 1e-12:
                 # every unscanned bin entry fails independently with the
@@ -614,20 +608,21 @@ def _trials(system, experiment, thresholds, pi, inner_draws, codebook=None):
                 log_p_all_fail = math.exp(min(log_sub, 700.0)) * math.log(p_fail)
                 e1 = bool(rng.random() < math.exp(max(log_p_all_fail, -700.0)))
         else:
-            enc = encode(codebook, message, s_block, system, thresholds, covering_threshold, inner_draws, rng)
-            l_index, u_block, e1 = enc.l_index, enc.u_block, enc.covering_failed
+            l_index, u_block, e1 = encode(
+                codebook, message, s_block, system, thresholds, covering_threshold, INNER_DRAWS, rng
+            )
         y_block = draw(system.y_bounds[:, u_block.astype(np.intp) * n_s + s_block], rng.random(n))
         yield t, message, l_index, e1, _atypical(system, u_block, y_block, thresholds.t1), y_block, rng
 
 
-def _run_explicit(system, experiment, thresholds, pi, inner_draws) -> list[TrialRecord]:
+def _run_explicit(system, experiment, thresholds, pi) -> list[TrialRecord]:
     """Run every trial against the materialized codebook, then decode
     the received blocks in batches of trials, each batch one pass over
     the codebook."""
     codebook = build_code(experiment, system.p_u)
     sent = []  # (message, L, e1, e2) per trial
     y_blocks = np.empty((experiment.trials, experiment.n), dtype=np.intp)
-    for t, message, l_index, e1, e2, y_block, _ in _trials(system, experiment, thresholds, pi, inner_draws, codebook):
+    for t, message, l_index, e1, e2, y_block, _ in _trials(system, experiment, thresholds, pi, codebook):
         sent.append((message, l_index, e1, e2))
         y_blocks[t] = y_block
     batch = max(1, _DECODE_SCORES // codebook.words.shape[0])
@@ -643,7 +638,7 @@ def _run_explicit(system, experiment, thresholds, pi, inner_draws) -> list[Trial
     return records
 
 
-def _run_implicit(system, experiment, thresholds, pi, inner_draws) -> list[TrialRecord]:
+def _run_implicit(system, experiment, thresholds, pi) -> list[TrialRecord]:
     """Exchangeable-trial simulation without materializing the codebook.
 
     Confusion is decided by a Bernoulli draw from the importance-sampled
@@ -653,8 +648,8 @@ def _run_implicit(system, experiment, thresholds, pi, inner_draws) -> list[Trial
     """
     records = []
     log_k_out = experiment.log_total_codewords  # out-of-bin population
-    for t, message, l_index, e1, e2, y_block, rng in _trials(system, experiment, thresholds, pi, inner_draws):
-        p_e3 = _confusion_probability(system, y_block, thresholds, log_k_out, inner_draws, rng)
+    for t, message, l_index, e1, e2, y_block, rng in _trials(system, experiment, thresholds, pi):
+        p_e3 = _confusion_probability(system, y_block, thresholds, log_k_out, rng)
         e3 = bool(rng.random() < p_e3)
         ok = not (e1 or e2 or e3)
         records.append(TrialRecord(t, message, l_index, e1, e2, e3, message if ok else -1, ok))
@@ -666,7 +661,6 @@ def run_experiment(
     experiment: CodingExperiment,
     *,
     mode: str = "auto",
-    inner_draws: int = 200,
     pi_draws: int = 10_000,
 ) -> ExperimentReport:
     """End-to-end trials plus the rho_n bound from estimated pi1/pi2."""
@@ -678,9 +672,9 @@ def run_experiment(
     if mode == "explicit" and refusal:
         raise BudgetError(f"{refusal}, or use implicit mode")
     if mode == "explicit":
-        records = _run_explicit(system, experiment, thresholds, pi, inner_draws)
+        records = _run_explicit(system, experiment, thresholds, pi)
     elif mode == "implicit":
-        records = _run_implicit(system, experiment, thresholds, pi, inner_draws)
+        records = _run_implicit(system, experiment, thresholds, pi)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     errors = sum(not r.ok for r in records)
@@ -690,12 +684,9 @@ def run_experiment(
         trials=tuple(records),
         empirical_error=errors / experiment.trials,
         error_ci=wilson_interval(errors, experiment.trials),
-        rho_n=terms["rho_n"],
         rho_terms=terms,
-        pi1=pi["pi1"],
-        pi2=pi["pi2"],
+        pi=pi,
         mode=mode,
         converse_mode=converse,
-        diagnostics={"pi": pi, "thresholds": (thresholds.t1, thresholds.t2)},
     )
 

@@ -27,7 +27,7 @@ from .capacity import (
 )
 from .coding import MemorylessSystem
 from .info import SpectrumSamples, counts_scores
-from .prob import ChannelKernel, ConditionalPmf, DimensionError, GPPolicy, Pmf, ValidationError, check_rows
+from .prob import ChannelKernel, DimensionError, GPPolicy, Pmf, ValidationError, check_rows
 from .rng import stream
 
 _WEIGHT_TOL = 1e-12
@@ -72,7 +72,7 @@ def mixed_lower_bound(mix: MixtureSpec, policy: GPPolicy) -> float:
     the optimizer's own objective at the policy's (v, g) row."""
     _, chans, _, states = mix.support
     wg = _kernels_by_state([ch.w for ch in chans], policy.x_map[None])
-    return float(_objective_terms(policy.u_given_s.rows[None], np.array([q.probs for q in states]), wg)[0][0])
+    return float(_objective_terms(policy.u_given_s[None], np.array([q.probs for q in states]), wg)[0][0])
 
 
 def maximize_mixed_lower_bound(
@@ -87,7 +87,7 @@ def maximize_mixed_lower_bound(
     _, chans, _, states = mix.support
     chans, states = [ch.w for ch in chans], [q.probs for q in states]
     value, v, g, diag = optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed)
-    policy = GPPolicy(u_given_s=ConditionalPmf(v), x_map=g)
+    policy = GPPolicy(u_given_s=v, x_map=g)
     diag["lower_bound_only"] = len(chans) > 1 or len(states) > 1
     return CapacityResult(value=max(value, 0.0), policy=policy, diagnostics=diag)
 

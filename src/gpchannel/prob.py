@@ -69,28 +69,6 @@ class Pmf:
 
 
 @dataclass(frozen=True)
-class ConditionalPmf:
-    """Stochastic matrix: one Pmf over outputs per condition symbol."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rows, dtype=np.float64)
-        if r.ndim != 2:
-            raise ValidationError("ConditionalPmf rows must be a matrix")
-        check_rows(r, "ConditionalPmf")
-        object.__setattr__(self, "rows", _freeze(r))
-
-    @property
-    def n_conditions(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
 class ChannelKernel:
     """State-dependent channel: w[s, x] is a Pmf over outputs y."""
 
@@ -116,36 +94,39 @@ class ChannelKernel:
         return self.w.shape[2]
 
 
+def check_map(x_map, shape: tuple) -> np.ndarray:
+    """x_map as a read-only int64 copy of an integral, non-negative index table of the given shape."""
+    xm = np.asarray(x_map)
+    if xm.ndim != len(shape):
+        raise ValidationError(f"x_map must be a {len(shape)}-axis table of input indices")
+    if xm.shape != shape:
+        raise DimensionError(f"x_map: shape {xm.shape} disagrees with the laws' {shape}")
+    if not np.issubdtype(xm.dtype, np.integer) and not np.array_equal(xm.astype(np.int64), xm):
+        raise ValidationError("x_map must be integral")
+    if np.any(xm < 0):
+        raise ValidationError("x_map entries must be non-negative input indices")
+    return _freeze(xm, np.int64)
+
+
 @dataclass(frozen=True)
 class GPPolicy:
     """Auxiliary-symbol policy: P(u|s) plus a deterministic input map.
 
-    x_map is an integer table of shape (|U|,|S|): the channel input sent
-    for auxiliary symbol u in state s is x_map[u, s].
+    u_given_s is the (|S|,|U|) row array of P(u|s); x_map is an integer
+    table of shape (|U|,|S|): the channel input sent for auxiliary symbol
+    u in state s is x_map[u, s].
     """
 
-    u_given_s: ConditionalPmf
+    u_given_s: np.ndarray
     x_map: np.ndarray
 
     def __post_init__(self):
-        xm = np.asarray(self.x_map)
-        if xm.ndim != 2:
-            raise ValidationError("x_map must be an (|U|,|S|) table of input indices")
-        if not np.issubdtype(xm.dtype, np.integer):
-            xm = xm.astype(np.int64)
-            if not np.array_equal(xm, np.asarray(self.x_map)):
-                raise ValidationError("x_map must be integral")
-        if np.any(xm < 0):
-            raise ValidationError("x_map entries must be non-negative input indices")
-        if xm.shape[1] != self.u_given_s.n_conditions:
-            raise DimensionError("x_map state axis disagrees with u_given_s")
-        if xm.shape[0] != self.u_given_s.n_outputs:
-            raise DimensionError("x_map u axis disagrees with u_given_s")
-        object.__setattr__(self, "x_map", _freeze(xm, np.int64))
-
-    @property
-    def n_states(self) -> int:
-        return self.u_given_s.n_conditions
+        v = np.asarray(self.u_given_s, dtype=np.float64)
+        if v.ndim != 2:
+            raise ValidationError("u_given_s must be an (|S|,|U|) matrix")
+        check_rows(v, "u_given_s")
+        object.__setattr__(self, "u_given_s", _freeze(v))
+        object.__setattr__(self, "x_map", check_map(self.x_map, v.shape[::-1]))
 
 
 def effective_kernel(w: np.ndarray, x_map: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ over auxiliary laws P(v|s), P(u|v,s) and deterministic maps
 x = g(u,v,s). The frontier solver puts an exact penalty on the description
 constraint because the constraint set is nonconvex. It scores every
 policy it produces exactly: two closed-form anchors (degenerate V at
-R_d = 0; V = S at large R_d) and the rounded policy of each penalty
-solve. Each budget then reads the best scored policy that fits it.
+R_d = 0; V = S at large R_d), their time-sharing chord and the rounded
+policy of each penalty solve. Each budget then reads the best scored
+policy that fits it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .capacity import gp_capacity_dm, state_at_both_capacity
+from .capacity import MAX_CELLS, gp_capacity_dm, state_at_both_capacity
 from .info import conditional_mutual_information, mutual_information
-from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
+from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, _freeze, check_map, check_rows, effective_kernel
 from .rng import stream
+
+RESTARTS = 6  # penalty solves per budget, and the GP anchor's starts per map class
+KNEE_TOL = 1e-4  # the frontier gain per grid step below which it has saturated
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,12 @@ class RegionPolicy:
     x_map: np.ndarray  # (U,V,S) ints
 
     def __post_init__(self):
-        check_rows(self.v_given_s, "v_given_s", 1e-9)
-        check_rows(self.u_given_vs, "u_given_vs", 1e-9)
+        v, u = (np.asarray(a, dtype=np.float64) for a in (self.v_given_s, self.u_given_vs))
+        if v.ndim != 2 or u.ndim != 3 or u.shape[:2] != v.shape[::-1]:
+            raise ValidationError("v_given_s and u_given_vs must be (|S|,|V|) and (|V|,|S|,|U|) arrays")
+        object.__setattr__(self, "v_given_s", _freeze(check_rows(v, "v_given_s", 1e-9)))
+        object.__setattr__(self, "u_given_vs", _freeze(check_rows(u, "u_given_vs", 1e-9)))
+        object.__setattr__(self, "x_map", check_map(self.x_map, (u.shape[2], *v.shape[::-1])))
 
 
 @dataclass(frozen=True)
@@ -62,11 +70,8 @@ def _kernel_rates(pv, pu, wg, q) -> tuple[float, float]:
 def _rates(policy: RegionPolicy, channel: ChannelKernel, state: Pmf) -> tuple[float, float]:
     """Exact single-letter (message rate, description rate) of one policy."""
     # W_g[v,s,u,y] = W(y | g[u,v,s], s): the maps g[u] batched over u
-    wg = effective_kernel(channel.w, np.asarray(policy.x_map, dtype=np.int64)).transpose(1, 2, 0, 3)
-    return _kernel_rates(
-        np.asarray(policy.v_given_s, dtype=np.float64), np.asarray(policy.u_given_vs, dtype=np.float64),
-        wg, state.probs,
-    )
+    wg = effective_kernel(channel.w, policy.x_map).transpose(1, 2, 0, 3)
+    return _kernel_rates(policy.v_given_s, policy.u_given_vs, wg, state.probs)
 
 
 def region_membership(point: RegionPoint, channel: ChannelKernel, state: Pmf) -> bool:
@@ -83,7 +88,7 @@ def _anchor_policy(v_rows: np.ndarray, gp_policy: GPPolicy, u_size: int) -> Regi
     """The region policy that describes S by P(v|s) = v_rows and sends
     gp_policy's U and input map whatever V is; U symbols past
     gp_policy's alphabet go unused."""
-    inner = gp_policy.u_given_s.rows
+    inner = gp_policy.u_given_s
     n_s, n_u = inner.shape
     u_rows = np.zeros((v_rows.shape[1], n_s, u_size))
     u_rows[:, :, :n_u] = inner
@@ -180,14 +185,15 @@ def region_frontier(
     u_size: int | None = None,
     *,
     rd_grid,
-    restarts: int = 6,
+    restarts: int = RESTARTS,
     seed: int = 0,
 ) -> list[RegionPoint]:
     """Best message rate per description-rate budget, budgets ascending.
 
     Every policy the solver produces is scored exactly once: the two
-    closed-form anchors and the rounded policy of each penalty solve.
-    Each budget then gets the best scored policy whose description cost
+    closed-form anchors, the rounded policy of each penalty solve and,
+    when v_size > |S| and u_size >= |X|, the anchors' chord at each
+    budget. Each budget then gets the best scored policy whose description cost
     fits it (ties go to the earliest, anchors first), so the frontier is
     monotone and every point passes region_membership, whatever the
     order of rd_grid.
@@ -205,6 +211,10 @@ def region_frontier(
     if not (rd_grid >= 0).all():
         raise ValidationError("rd_grid: description-rate budgets must be non-negative numbers")
     rd_grid = np.sort(rd_grid)
+    # the penalty solve's (s, v, u, x or y) tables, under the GP search's cap
+    cells = n_s * v_size * u_size * max(n_x, channel.n_outputs)
+    if cells > MAX_CELLS:
+        raise ValidationError(f"v_size, u_size: {v_size} x {u_size} need {cells} policy cells, above {MAX_CELLS}")
 
     # V carries nothing: the encoder-only optimum is feasible at R_d = 0
     gp = gp_capacity_dm(channel, state, u_size=min(u_size, n_x * n_s + 1), restarts=restarts, seed=seed)
@@ -216,6 +226,16 @@ def region_frontier(
     for r_d in rd_grid:
         policies += _optimize_grid_point(channel, state, v_size, u_size, float(r_d), restarts, seed)
     scored = [(*_rates(pol, channel, state), pol) for pol in policies]
+    if v_size > n_s and u_size >= n_x:
+        # the anchors' chord: V = 0 runs anchor A, and with probability lam
+        # V = 1 + s runs anchor B; it costs at most lam * cost_B
+        (_, _, a), (_, cost_b, b) = scored[:2]
+        u_rows, g = np.array(b.u_given_vs), np.array(b.x_map)
+        u_rows[0], g[:, 0] = a.u_given_vs[0], a.x_map[:, 0]
+        for r_d in rd_grid:
+            lam = 1.0 if cost_b <= r_d else r_d / cost_b
+            chord = RegionPolicy((1.0 - lam) * a.v_given_s + lam * np.roll(b.v_given_s, 1, axis=1), u_rows, g)
+            scored.append((*_rates(chord, channel, state), chord))
 
     points = []
     for r_d in rd_grid:
@@ -225,9 +245,9 @@ def region_frontier(
     return points
 
 
-def saturation_knee(points: list[RegionPoint], tol: float = 1e-4) -> float | None:
+def saturation_knee(points: list[RegionPoint]) -> float | None:
     """Smallest grid R_d after which the frontier stops improving."""
     for i in range(1, len(points)):
-        if all(points[j].r - points[j - 1].r < tol for j in range(i, len(points))):
+        if all(points[j].r - points[j - 1].r < KNEE_TOL for j in range(i, len(points))):
             return points[i - 1].r_d
     return None

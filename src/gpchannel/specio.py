@@ -35,7 +35,7 @@ import numpy as np
 
 from .capacity import MIN_HORIZON
 from .mixture import MixtureSpec
-from .prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows
+from .prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows
 
 ROW_TOL = 1e-9
 # the longest j-structured n_max: 2^22 terms take about 10 s and 250 MB peak
@@ -130,7 +130,7 @@ def parse_policy(obj: dict, context: str, channel: ChannelKernel, channel_key: s
     if g.size and g.max() >= channel.n_inputs:
         raise SpecError(f"{context}.g: input {g.max()} outside the {channel.n_inputs} inputs of {channel_key}")
     # spec rows are per-state; GPPolicy stores them the same way
-    return GPPolicy(u_given_s=ConditionalPmf(rows), x_map=g.astype(np.int64))
+    return GPPolicy(u_given_s=rows, x_map=g)
 
 
 def _components(raw: dict, part: str, key: str, parse) -> tuple:

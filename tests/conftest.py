@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf
+from gpchannel.prob import ChannelKernel, GPPolicy, Pmf
 
 # property examples run numpy solves whose time varies with the host, so
 # none runs under Hypothesis's per-example deadline
@@ -44,7 +44,7 @@ def full_product_maps(u_size: int, n_states: int, n_inputs: int) -> np.ndarray:
 def identity_policy() -> GPPolicy:
     """U = X ~ Bern(1/2) independent of the state."""
     return GPPolicy(
-        u_given_s=ConditionalPmf(np.array([[0.5, 0.5], [0.5, 0.5]])),
+        u_given_s=np.array([[0.5, 0.5], [0.5, 0.5]]),
         x_map=np.array([[0, 0], [1, 1]]),
     )
 

@@ -118,13 +118,13 @@ def test_acceptance_4_achievability_bound(bsc_system):
     for n in (200, 400, 800):
         rep = reports[n]
         trials = len(rep.trials)
-        assert rep.empirical_error <= rep.rho_n + 3 * _sigma(rep.empirical_error, trials)
+        assert rep.empirical_error <= rep.rho_terms["rho_n"] + 3 * _sigma(rep.empirical_error, trials)
         rates = rep.event_rates()
         assert rates["e3"] <= math.exp(-n * 0.02) + 3 * _sigma(rates["e3"], trials)
-        assert rates["e2_not_e1"] <= math.sqrt(rep.pi1) + 3 * _sigma(rates["e2_not_e1"], trials)
+        assert rates["e2_not_e1"] <= math.sqrt(rep.pi["pi1"]) + 3 * _sigma(rates["e2_not_e1"], trials)
+    rho = [reports[n].rho_terms["rho_n"] for n in (200, 400, 800)]
     print(f"PASS acceptance 4: errors {errs[0]:.3f}/{errs[1]:.3f}/{errs[2]:.3f} at "
-          f"n=200/400/800 monotone within CI and below rho_n "
-          f"({reports[200].rho_n:.3f}/{reports[400].rho_n:.3f}/{reports[800].rho_n:.3f})")
+          f"n=200/400/800 monotone within CI and below rho_n ({rho[0]:.3f}/{rho[1]:.3f}/{rho[2]:.3f})")
 
 
 def test_acceptance_4_bound_is_informative(bsc_system):
@@ -134,13 +134,14 @@ def test_acceptance_4_bound_is_informative(bsc_system):
     n, trials = 6000, 500
     exp_ = design_experiment(bsc_system, n, 0.02, 0.02, rate=0.7 * bsc_system.i_uy, seed=0, trials=trials)
     rep = run_experiment(bsc_system, exp_, pi_draws=10_000)
-    assert rep.rho_n < 0.3
-    assert rep.empirical_error <= rep.rho_n + 3 * _sigma(rep.empirical_error, trials)
+    rho_n = rep.rho_terms["rho_n"]
+    assert rho_n < 0.3
+    assert rep.empirical_error <= rho_n + 3 * _sigma(rep.empirical_error, trials)
     rates = rep.event_rates()
     assert rates["e3"] <= math.exp(-n * 0.02) + 3 * _sigma(rates["e3"], trials)
-    assert rates["e2_not_e1"] <= math.sqrt(rep.pi1) + 3 * _sigma(rates["e2_not_e1"], trials)
+    assert rates["e2_not_e1"] <= math.sqrt(rep.pi["pi1"]) + 3 * _sigma(rates["e2_not_e1"], trials)
     print(f"PASS acceptance 4 (informative): error {rep.empirical_error:.3f} below rho_n "
-          f"{rep.rho_n:.3f} at n={n}")
+          f"{rho_n:.3f} at n={n}")
 
 def test_acceptance_5_converse_threshold(bsc_system):
     rate = 1.2 * bsc_system.i_uy

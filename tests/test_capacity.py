@@ -42,12 +42,12 @@ class TestBlahutArimoto:
         np.testing.assert_allclose(r, 0.5, atol=1e-6)
 
     def test_no_state_wrapper(self):
-        res = no_state_capacity(bsc_matrix(0.1))
+        res = no_state_capacity(ChannelKernel(bsc_matrix(0.1)[None]))
         assert res.value == pytest.approx(bin_capacity(0.1), abs=1e-9)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5])
     def test_upper_bound_bsc_closed_form(self, p):
-        res = no_state_capacity(bsc_matrix(p))
+        res = no_state_capacity(ChannelKernel(bsc_matrix(p)[None]))
         assert res.diagnostics["upper_bound"] == pytest.approx(bin_capacity(p), abs=1e-9)
 
     def test_upper_bound_above_value_on_random_channels(self):
@@ -58,7 +58,7 @@ class TestBlahutArimoto:
             w[rng.random(w.shape) < 0.2] = 0.0  # zero entries, rows kept non-empty
             w[:, 0] += w.sum(axis=1) == 0
             w /= w.sum(axis=1, keepdims=True)
-            res = no_state_capacity(w)
+            res = no_state_capacity(ChannelKernel(w[None]))
             bound = res.diagnostics["upper_bound"]
             assert res.value <= bound + 1e-12
             # informative, not just log|Y|: BA stops within 1e-4 of it here

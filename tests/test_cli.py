@@ -597,6 +597,17 @@ class TestRegionCommand:
         assert res.exit_code == EXIT_VALIDATION
         assert key in res.output
 
+    def test_search_too_large_to_hold_rejected_before_output(self, tmp_path, monkeypatch):
+        import gpchannel.region as region
+
+        # a search that starts would allocate gigabytes: fail it instead
+        monkeypatch.setattr(region, "gp_capacity_dm", None)
+        spec = write_spec(tmp_path, system_spec(rd_grid=[0.0], v_size=1, u_size=100000000))
+        res = run(["region", "--spec", str(spec), "--out", str(tmp_path / "o"), "--restarts", "1"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "u_size" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_spec_sizes_used_unless_options_given(self, tmp_path, monkeypatch):
         import gpchannel.cli as cli
 

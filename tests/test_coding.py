@@ -25,7 +25,7 @@ from gpchannel.coding import (
     sample,
     wilson_interval,
 )
-from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError
+from gpchannel.prob import ChannelKernel, GPPolicy, Pmf, ValidationError
 from gpchannel.rng import stream
 
 from conftest import bin_capacity, identity_policy, state_blind_bsc, state_flip_bsc
@@ -155,17 +155,17 @@ class TestEncodeDecode:
         exp_, code, th = self._tiny_setup(bsc_system)
         rng = stream(0, 36)
         s = np.zeros(6, dtype=np.int64)
-        res = encode(code, 1, s, bsc_system, th, covering_threshold=1.0, inner_draws=50, rng=rng)
-        assert res.l_index == code.bin_range(1)[0]
-        assert not res.covering_failed
+        l_index, _, failed = encode(code, 1, s, bsc_system, th, covering_threshold=1.0, inner_draws=50, rng=rng)
+        assert l_index == code.bin_range(1)[0]
+        assert not failed
 
     def test_impossible_covering_flags_failure(self, bsc_system):
         exp_, code, th = self._tiny_setup(bsc_system)
         rng = stream(0, 37)
         s = np.zeros(6, dtype=np.int64)
-        res = encode(code, 0, s, bsc_system, th, covering_threshold=-1.0, inner_draws=50, rng=rng)
-        assert res.covering_failed
-        assert res.l_index == code.bin_range(0)[0]
+        l_index, _, failed = encode(code, 0, s, bsc_system, th, covering_threshold=-1.0, inner_draws=50, rng=rng)
+        assert failed
+        assert l_index == code.bin_range(0)[0]
 
     def test_decode_unique_hit(self, noiseless_system):
         words = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.int64)
@@ -190,7 +190,7 @@ class TestRunExperiment:
             n=30, gamma1=0.01, gamma2=0.01,
             rate=0.5 * math.log(2), rate_total=0.5 * math.log(2), seed=5, trials=300,
         )
-        rep = run_experiment(noiseless_system, exp_, mode="explicit", inner_draws=50, pi_draws=2000)
+        rep = run_experiment(noiseless_system, exp_, mode="explicit", pi_draws=2000)
         assert rep.empirical_error == 0.0
         assert rep.mode == "explicit"
 
@@ -276,7 +276,7 @@ class TestRunExperiment:
     def test_output_law_is_the_mapped_channel_row(self, uniform_state):
         channel = state_flip_bsc(0.1)
         policy = GPPolicy(
-            u_given_s=ConditionalPmf(np.array([[0.3, 0.7], [0.6, 0.4]])),
+            u_given_s=np.array([[0.3, 0.7], [0.6, 0.4]]),
             x_map=np.array([[0, 1], [1, 1]]),
         )
         system = MemorylessSystem(uniform_state, policy, channel)
@@ -307,7 +307,7 @@ class TestRunExperiment:
         # n * t1 = 2500 * 0.348 = 870 nats: q(y) ~ exp(-870) is below the
         # smallest float, so the confusion estimate must stay in log space
         policy = GPPolicy(
-            u_given_s=ConditionalPmf(np.array([[0.5, 0.5], [0.5, 0.5]])),
+            u_given_s=np.array([[0.5, 0.5], [0.5, 0.5]]),
             x_map=np.array([[0, 1], [1, 0]]),
         )
         system = MemorylessSystem(uniform_state, policy, state_flip_bsc(0.1))
@@ -337,7 +337,7 @@ def test_trial_draw_order_is_pinned(mode, n, gamma1):
     system = MemorylessSystem(
         Pmf(np.array([0.3, 0.7])),
         GPPolicy(
-            u_given_s=ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]])),
+            u_given_s=np.array([[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]]),
             x_map=np.array([[0, 1], [1, 0], [1, 1]]),
         ),
         ChannelKernel(np.array([[[0.8, 0.0, 0.2], [0.0, 0.9, 0.1]], [[0.1, 0.6, 0.3], [0.5, 0.0, 0.5]]])),

@@ -3,7 +3,6 @@ import pytest
 
 from gpchannel.prob import (
     ChannelKernel,
-    ConditionalPmf,
     DimensionError,
     GPPolicy,
     Pmf,
@@ -11,6 +10,7 @@ from gpchannel.prob import (
     effective_kernel,
 )
 from gpchannel.coding import MemorylessSystem, sample
+from gpchannel.region import RegionPolicy
 from gpchannel.rng import stream
 
 from conftest import identity_policy, state_blind_bsc
@@ -34,8 +34,8 @@ class TestValidation:
         Pmf(np.array([0.5, 0.5 + 5e-13]))
 
     def test_conditional_rows_each_validated(self):
-        with pytest.raises(ValidationError):
-            ConditionalPmf(np.array([[0.5, 0.5], [0.7, 0.2]]))
+        with pytest.raises(ValidationError, match="u_given_s: row 1"):
+            GPPolicy(u_given_s=np.array([[0.5, 0.5], [0.7, 0.2]]), x_map=np.array([[0, 0], [1, 1]]))
 
     def test_channel_rows_validated(self):
         w = np.full((2, 2, 2), 0.5)
@@ -47,7 +47,7 @@ class TestValidation:
 
     def test_policy_map_range_checked(self):
         policy = GPPolicy(
-            u_given_s=ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]])),
+            u_given_s=np.array([[1.0, 0.0], [0.0, 1.0]]),
             x_map=np.array([[0, 5], [1, 0]]),
         )
         channel = state_blind_bsc(0.1)
@@ -57,7 +57,7 @@ class TestValidation:
             MemorylessSystem(Pmf(np.array([0.5, 0.5])), policy, channel).p_suy
         # the stochastic (|U|,|S|,|X|) form is not accepted
         with pytest.raises(ValidationError, match="x_map"):
-            GPPolicy(u_given_s=ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]])), x_map=np.full((2, 2, 2), 0.5))
+            GPPolicy(u_given_s=np.array([[1.0, 0.0], [0.0, 1.0]]), x_map=np.full((2, 2, 2), 0.5))
 
     def test_immutability(self):
         p = Pmf(np.array([0.5, 0.5]))
@@ -68,16 +68,16 @@ class TestValidation:
         "build, field",
         [
             (lambda a: Pmf(a), "probs"),
-            (lambda a: ConditionalPmf(a), "rows"),
+            (lambda a: GPPolicy(u_given_s=a, x_map=np.array([[0, 1], [1, 0]])), "u_given_s"),
             (lambda a: ChannelKernel(a), "w"),
-            (lambda a: GPPolicy(u_given_s=ConditionalPmf(np.full((2, 2), 0.5)), x_map=a), "x_map"),
+            (lambda a: GPPolicy(u_given_s=np.full((2, 2), 0.5), x_map=a), "x_map"),
         ],
-        ids=["Pmf", "ConditionalPmf", "ChannelKernel", "GPPolicy"],
+        ids=["Pmf", "GPPolicy.u_given_s", "ChannelKernel", "GPPolicy"],
     )
     def test_caller_array_stays_writeable(self, build, field):
         arg = {
             "probs": np.array([0.5, 0.5]),
-            "rows": np.full((2, 2), 0.5),
+            "u_given_s": np.full((2, 2), 0.5),
             "w": np.full((1, 2, 2), 0.5),
             "x_map": np.array([[0, 1], [1, 0]], dtype=np.int64),
         }[field]
@@ -89,12 +89,57 @@ class TestValidation:
         np.testing.assert_array_equal(getattr(obj, field), kept)
 
 
+def _policy_arrays(kind: str, x_map) -> dict:
+    """Fresh valid laws of a GPPolicy (|S| = |U| = 2) or a RegionPolicy
+    (|S| = |U| = 2, |V| = 3) beside the given map."""
+    if kind == "GPPolicy":
+        return {"u_given_s": np.full((2, 2), 0.5), "x_map": x_map}
+    return {"v_given_s": np.full((2, 3), 1 / 3), "u_given_vs": np.full((3, 2, 2), 0.5), "x_map": x_map}
+
+
+_POLICIES = {"GPPolicy": (GPPolicy, (2, 2)), "RegionPolicy": (RegionPolicy, (2, 3, 2))}
+
+
+class TestPolicyMaps:
+    """GPPolicy and RegionPolicy check their input maps the same way."""
+
+    @pytest.mark.parametrize("kind", list(_POLICIES))
+    @pytest.mark.parametrize(
+        "fault, match",
+        [("fraction", "integral"), ("negative", "non-negative"), ("shape", "x_map")],
+    )
+    def test_policies_reject_the_same_malformed_maps(self, kind, fault, match):
+        cls, shape = _POLICIES[kind]
+        x_map = np.zeros(shape)
+        if fault == "fraction":
+            x_map.flat[0] = 0.7
+        elif fault == "negative":
+            x_map.flat[0] = -1
+        else:
+            x_map = np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=np.int64)
+        with pytest.raises(ValidationError, match=match):
+            cls(**_policy_arrays(kind, x_map))
+
+    @pytest.mark.parametrize("kind", list(_POLICIES))
+    def test_policies_hold_read_only_copies(self, kind):
+        cls, shape = _POLICIES[kind]
+        arrays = _policy_arrays(kind, np.ones(shape))  # an integral float map is accepted
+        policy = cls(**arrays)
+        assert policy.x_map.dtype == np.int64
+        for name, arg in arrays.items():
+            held = getattr(policy, name)
+            kept = np.array(held)
+            assert arg.flags.writeable and not held.flags.writeable
+            arg[...] = 7
+            np.testing.assert_array_equal(held, kept)
+
+
 class TestComposeJoint:
     """The single-letter law P(s) P(u|s) W(y|g(u,s),s) held by MemorylessSystem.p_suy."""
 
     def test_one_point_space(self):
         state = Pmf(np.array([1.0]))
-        policy = GPPolicy(u_given_s=ConditionalPmf(np.array([[1.0]])), x_map=np.array([[0]]))
+        policy = GPPolicy(u_given_s=np.array([[1.0]]), x_map=np.array([[0]]))
         channel = ChannelKernel(np.ones((1, 1, 1)))
         p = MemorylessSystem(state, policy, channel).p_suy
         assert p.shape == (1, 1, 1)
@@ -115,7 +160,7 @@ class TestComposeJoint:
             q = rng.dirichlet(np.ones(3))
             rows = rng.dirichlet(np.ones(4), size=3)
             policy = GPPolicy(
-                u_given_s=ConditionalPmf(rows),
+                u_given_s=rows,
                 x_map=rng.integers(0, 2, size=(4, 3)),
             )
             w = rng.dirichlet(np.ones(2), size=(3, 2))
@@ -126,7 +171,7 @@ class TestComposeJoint:
         # P(y | s, u) = W(y | g(u, s), s) wherever P(s, u) > 0
         channel = ChannelKernel(np.stack([[[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.4, 0.6]]]))
         policy = GPPolicy(
-            u_given_s=ConditionalPmf(np.array([[0.3, 0.7, 0.0], [0.6, 0.1, 0.3]])),
+            u_given_s=np.array([[0.3, 0.7, 0.0], [0.6, 0.1, 0.3]]),
             x_map=np.array([[0, 1], [1, 1], [1, 0]]),
         )
         p = MemorylessSystem(uniform_state, policy, channel).p_suy
@@ -152,7 +197,7 @@ class TestMarginalConditional:
 
     def test_sum_order_irrelevant(self):
         rng = stream(1, 2)
-        policy = GPPolicy(u_given_s=ConditionalPmf(rng.dirichlet(np.ones(3), size=2)), x_map=rng.integers(0, 2, (3, 2)))
+        policy = GPPolicy(u_given_s=rng.dirichlet(np.ones(3), size=2), x_map=rng.integers(0, 2, (3, 2)))
         channel = ChannelKernel(rng.dirichlet(np.ones(2), size=(2, 2)))
         system = MemorylessSystem(Pmf(rng.dirichlet(np.ones(2))), policy, channel)
         p = system.p_suy
@@ -163,7 +208,7 @@ class TestMarginalConditional:
     def test_zero_mass_condition_flagged(self, uniform_state):
         # u = 0 always sends x = 0 on a noiseless channel, so y = 1 has no
         # mass: its P(u|y) column is zero-filled, never NaN or uniform
-        rows = ConditionalPmf(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        rows = np.array([[1.0, 0.0], [1.0, 0.0]])
         policy = GPPolicy(u_given_s=rows, x_map=np.array([[0, 0], [1, 1]]))
         system = MemorylessSystem(uniform_state, policy, state_blind_bsc(0.0))
         np.testing.assert_array_equal(system.p_y, [1.0, 0.0])
@@ -195,9 +240,9 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
     def test_conditional_sampling_respects_rows(self):
-        rows = ConditionalPmf(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        policy = GPPolicy(u_given_s=np.array([[1.0, 0.0], [0.0, 1.0]]), x_map=np.array([[0, 0], [1, 1]]))
         conds = np.array([0, 1, 0, 1] * 50)
-        out = sample(rows.rows[conds], stream(7, 0).random(conds.size))
+        out = sample(policy.u_given_s[conds], stream(7, 0).random(conds.size))
         np.testing.assert_array_equal(out, conds)
 
     def test_channel_sampling(self):

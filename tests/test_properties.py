@@ -7,8 +7,9 @@ enumeration of input maps up to relabelling, its objective and gradient
 over batch rows and component pairs, the merging of auxiliary symbols
 that share a row of the input map, the effective channel of
 an input map, the Cesaro running averages over a slot table, the region
-solver's softmax, its penalised objective and its gradient, and the one
-check every probability row goes through."""
+solver's softmax, its penalised objective and its gradient, the one
+check every probability row goes through, and the stateless capacity
+as the one-state case of the state-known-at-both-ends capacity."""
 
 import math
 from unittest import mock
@@ -21,11 +22,21 @@ from scipy.special import logsumexp, softmax
 
 from gpchannel import kernels
 import gpchannel.capacity as capacity
-from gpchannel.capacity import _gradient, _kernels_by_state, _objective_terms, _relabelling_classes, optimize_gp_policy
+from gpchannel.capacity import (
+    _divergences,
+    _gradient,
+    _kernels_by_state,
+    _objective_terms,
+    _relabelling_classes,
+    blahut_arimoto,
+    no_state_capacity,
+    optimize_gp_policy,
+    state_at_both_capacity,
+)
 from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sample
 from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
 from gpchannel.mixture import _logsumexp
-from gpchannel.prob import ChannelKernel, ConditionalPmf, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
+from gpchannel.prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _softmax, _unpack
 
 from conftest import full_product_maps
@@ -109,7 +120,7 @@ def test_codebook_scores_match_per_cell_sum(case, chunk_elements):
 # W(2|x=1) = 0 make the cells (0, 1) and (1, 2) -inf on positive marginals
 _E2_SYSTEM = MemorylessSystem(
     Pmf(np.array([1.0])),
-    GPPolicy(u_given_s=ConditionalPmf(np.array([[0.5, 0.5, 0.0]])), x_map=np.array([[0], [1], [0]])),
+    GPPolicy(u_given_s=np.array([[0.5, 0.5, 0.0]]), x_map=np.array([[0], [1], [0]])),
     ChannelKernel(np.array([[[0.8, 0.0, 0.2], [0.1, 0.9, 0.0]]])),
 )
 _E2_PAIRS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=40)
@@ -504,3 +515,19 @@ def test_check_rows_rejects_exactly_the_first_bad_row(rows, tol):
         check_rows(rows, "rows", tol)
     row = f"row {', '.join(map(str, idx))}: " if idx else ""
     assert str(exc.value).startswith(f"rows: {row}{fault}")
+
+
+@given(st.integers(1, 5).flatmap(lambda n_y: st.lists(pmf(n_y), min_size=1, max_size=5)))
+def test_no_state_capacity_is_the_one_state_case_of_state_at_both(rows):
+    channel = ChannelKernel(np.array(rows)[None])
+    got = no_state_capacity(channel)
+    want = state_at_both_capacity(channel, Pmf(np.array([1.0])))
+    assert got.value == want.value
+    assert got.diagnostics == want.diagnostics
+    np.testing.assert_array_equal(got.policy.u_given_s, want.policy.u_given_s)
+    np.testing.assert_array_equal(got.policy.x_map, want.policy.x_map)
+    # and both are Blahut-Arimoto's figures, bit for bit
+    value, r = blahut_arimoto(channel.w[0])
+    assert got.value == value
+    assert got.diagnostics["upper_bound"] == float(_divergences(channel.w[0], r).max())
+    np.testing.assert_array_equal(got.policy.u_given_s, r[None])

@@ -24,12 +24,34 @@ def asym_bsc():
     return ChannelKernel(np.stack([w0, w1]))
 
 
-def probe_system():
-    """The first seeded random binary 2-state system; at (v, u) = (3, 4)
-    its 3rd budget's own solves fall short of a solve made for another budget."""
+def probe_systems(count=1):
+    """Seeded random binary 2-state systems. At (v, u) = (3, 4) the first
+    one's 3rd budget's own solves fall short of a solve made for another
+    budget, and 9 of the first 12 fall below their anchors' chord unless
+    the chord is a candidate."""
     rng = np.random.default_rng(20261019)
-    w = rng.dirichlet(np.ones(2), (2, 2))
-    return ChannelKernel(w), Pmf(rng.dirichlet(np.ones(2)))
+    systems = []
+    for _ in range(count):
+        w = rng.dirichlet(np.ones(2), (2, 2))
+        systems.append((ChannelKernel(w), Pmf(rng.dirichlet(np.ones(2)))))
+    return systems
+
+
+def chord_policy(channel, state, v_size, u_size, restarts, seed, lam):
+    """Time sharing between the frontier's anchors: V = 0 runs the
+    encoder-only GP policy, and with probability lam V = 1 + s runs the
+    per-state Blahut-Arimoto inputs."""
+    n_s, n_x = channel.n_states, channel.n_inputs
+    gp = gp_capacity_dm(channel, state, u_size=min(u_size, n_x * n_s + 1), restarts=restarts, seed=seed).policy
+    both = state_at_both_capacity(channel, state).policy
+    v = np.zeros((n_s, v_size))
+    v[:, 0] = 1.0 - lam
+    v[np.arange(n_s), 1 + np.arange(n_s)] = lam
+    u = np.zeros((v_size, n_s, u_size))
+    g = np.zeros((u_size, v_size, n_s), dtype=np.int64)
+    u[0, :, : gp.u_given_s.shape[1]], g[: gp.x_map.shape[0], 0] = gp.u_given_s, gp.x_map
+    u[1:, :, :n_x], g[:n_x, 1:] = both.u_given_s, both.x_map[:, None, :]
+    return RegionPolicy(v_given_s=v, u_given_vs=u, x_map=g)
 
 
 def trivial_policy(v_size=1, u_size=2, n_s=2):
@@ -107,7 +129,7 @@ class TestFrontier:
     def test_each_budget_reads_best_scored_policy_that_fits(self, monkeypatch):
         import gpchannel.region as region
 
-        channel, state = probe_system()
+        (channel, state), = probe_systems()
         scored = []
         rates = region._rates
 
@@ -118,10 +140,31 @@ class TestFrontier:
         monkeypatch.setattr(region, "_rates", recording)
         grid = np.linspace(0.0, math.log(2), 5)
         pts = region_frontier(channel, state, v_size=3, u_size=4, rd_grid=grid, restarts=3, seed=0)
-        # each policy is scored once: two anchors and three solves per budget
-        assert len(scored) == 2 + 3 * grid.size
+        # each policy is scored once: two anchors, then three solves and the
+        # anchors' chord per budget
+        assert len(scored) == 2 + 3 * grid.size + grid.size
         for pt in pts:
             assert pt.r == max(0.0, max(rate for rate, cost in scored if cost <= pt.r_d + 1e-9))
+
+    def test_points_reach_the_anchors_chord(self):
+        grid = np.linspace(0.0, math.log(2), 5)
+        for seed, (channel, state) in enumerate(probe_systems(12)):
+            pts = region_frontier(channel, state, v_size=3, u_size=4, rd_grid=grid, restarts=3, seed=seed)
+            _, cost_b = _rates(chord_policy(channel, state, 3, 4, 3, seed, 1.0), channel, state)
+            for pt in pts:
+                assert region_membership(pt, channel, state)
+                lam = 1.0 if cost_b <= pt.r_d else pt.r_d / cost_b
+                rate, cost = _rates(chord_policy(channel, state, 3, 4, 3, seed, lam), channel, state)
+                if cost <= pt.r_d + 1e-9:
+                    assert pt.r >= rate - 1e-12, (seed, pt.r_d)
+
+    def test_search_too_large_to_hold_rejected(self, uniform_state, monkeypatch):
+        import gpchannel.region as region
+
+        # a search that starts would allocate gigabytes: fail it instead
+        monkeypatch.setattr(region, "gp_capacity_dm", None)
+        with pytest.raises(ValidationError, match="u_size"):
+            region_frontier(state_flip_bsc(0.1), uniform_state, v_size=1, u_size=10**8, rd_grid=[0.0], restarts=1)
 
     def test_anchor_solves_at_the_region_restarts(self, uniform_state, monkeypatch):
         import gpchannel.region as region
