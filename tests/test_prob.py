@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,38 +102,25 @@ def _policy_arrays(kind: str, x_map) -> dict:
 _POLICIES = {"GPPolicy": (GPPolicy, (2, 2)), "RegionPolicy": (RegionPolicy, (2, 3, 2))}
 
 
-class TestPolicyMaps:
-    """GPPolicy and RegionPolicy check their input maps the same way."""
-
-    @pytest.mark.parametrize("kind", list(_POLICIES))
-    @pytest.mark.parametrize(
-        "fault, match",
-        [("fraction", "integral"), ("negative", "non-negative"), ("shape", "x_map")],
-    )
-    def test_policies_reject_the_same_malformed_maps(self, kind, fault, match):
-        cls, shape = _POLICIES[kind]
-        x_map = np.zeros(shape)
-        if fault == "fraction":
-            x_map.flat[0] = 0.7
-        elif fault == "negative":
-            x_map.flat[0] = -1
-        else:
-            x_map = np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=np.int64)
+@pytest.mark.parametrize("kind", list(_POLICIES))
+def test_policies_check_maps_alike_and_hold_read_only_copies(kind):
+    cls, shape = _POLICIES[kind]
+    for x_map, match in (
+        (np.where(np.arange(math.prod(shape)) == 0, 0.7, 0.0).reshape(shape), "integral"),
+        (np.where(np.arange(math.prod(shape)) == 0, -1, 0).reshape(shape), "non-negative"),
+        (np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=np.int64), "x_map"),
+    ):
         with pytest.raises(ValidationError, match=match):
             cls(**_policy_arrays(kind, x_map))
-
-    @pytest.mark.parametrize("kind", list(_POLICIES))
-    def test_policies_hold_read_only_copies(self, kind):
-        cls, shape = _POLICIES[kind]
-        arrays = _policy_arrays(kind, np.ones(shape))  # an integral float map is accepted
-        policy = cls(**arrays)
-        assert policy.x_map.dtype == np.int64
-        for name, arg in arrays.items():
-            held = getattr(policy, name)
-            kept = np.array(held)
-            assert arg.flags.writeable and not held.flags.writeable
-            arg[...] = 7
-            np.testing.assert_array_equal(held, kept)
+    arrays = _policy_arrays(kind, np.ones(shape))  # an integral float map is accepted
+    policy = cls(**arrays)
+    assert policy.x_map.dtype == np.int64
+    for name, arg in arrays.items():
+        held = getattr(policy, name)
+        kept = np.array(held)
+        assert arg.flags.writeable and not held.flags.writeable
+        arg[...] = 7
+        np.testing.assert_array_equal(held, kept)
 
 
 class TestComposeJoint:
