@@ -26,7 +26,6 @@ from .coding import (
     encode,
     estimate_pi,
     eta,
-    eta_exact,
     run_experiment,
 )
 from .info import (

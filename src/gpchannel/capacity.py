@@ -412,11 +412,6 @@ def odd_j_mask(n_max: int) -> np.ndarray:
     return ((i & 1) == 1) & (bit_length % 2 == 0)
 
 
-def in_dyadic_blocks(i: int) -> bool:
-    """Closed-form block rule for the alternation index set."""
-    return i.bit_length() % 2 == 0
-
-
 def j_density_extrema(n_max: int) -> dict:
     """Running density (2/n)|odd block members up to n| and its extrema.
 

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import math
 import sys
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 
 import click
@@ -49,39 +48,28 @@ EXIT_INTERNAL = 4
 HIST_BIN_NATS = 0.005
 
 
-def _tool_version() -> str:
-    try:
-        return pkg_version("gpchannel")
-    except PackageNotFoundError:  # run from a source tree
-        return __version__
-
-
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
-
-
-def _output(out_dir, seed: int, spec_path) -> tuple[Path, list[str]]:
-    """The created output directory and the header every artifact starts with."""
+def _write(out_dir, seed: int, spec_path, artifacts: dict) -> None:
+    """Make out_dir and write each named artifact after the three header
+    lines: a list of lines is a text file, a (columns, rows) pair a CSV
+    table. Each command calls it once, after everything is computed, so a
+    refused run leaves no output directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out, [
-        f"# gpchannel {_tool_version()}",
+    header = [
+        f"# gpchannel {__version__}",
         f"# seed={seed}",
-        f"# spec_digest={_digest(spec_path)}",
+        f"# spec_digest={hashlib.sha256(Path(spec_path).read_bytes()).hexdigest()[:12]}",
     ]
-
-
-def _write_text(path: Path, header: list[str], lines: list[str]) -> None:
-    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    for name, content in artifacts.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in header)
+            if isinstance(content, tuple):
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+            else:
+                fh.writelines(line + "\n" for line in content)
+    click.echo(f"wrote {out / next(iter(artifacts))}")
 
 
 def _capacity_lines(res, kind_line: str) -> list[str]:
@@ -144,7 +132,7 @@ def common_options(fn):
 def capacity(spec_path, out_dir, seed, workers, restarts):
     """Single-letter capacities for a system, mixture, or structured sequence."""
     spec = load_spec(spec_path)
-    out, header = _output(out_dir, seed, spec_path)
+    tables = {}
     if spec["kind"] == "system":
         side = spec.get("side_information", "encoder")
         if side == "none":
@@ -167,17 +155,13 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
             f"analytic_value_nats={interleaved_value(*result['constituents']):.12g}",
         ]
         partial = result["partial_averages"]
-        _write_csv(
-            out / "partial_averages.csv", header, ["n", "average_nats"],
-            ((i + 1, f"{v:.12g}") for i, v in enumerate(partial)),
-        )
-    _write_text(out / "capacity.txt", header, lines)
-    click.echo(f"wrote {out / 'capacity.txt'}")
+        tables["partial_averages.csv"] = (["n", "average_nats"], ((i + 1, f"{v:.12g}") for i, v in enumerate(partial)))
+    _write(out_dir, seed, spec_path, {"capacity.txt": lines, **tables})
 
 
 @main.command()
 @common_options
-@click.option("--n", default=2000, show_default=True, type=int)
+@click.option("--n", default=2000, show_default=True, type=click.IntRange(min=1))
 @click.option("--draws", default=10_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--delta", default=DEFAULT_DELTA, show_default=True,
               type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
@@ -188,7 +172,6 @@ def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
         raise SpecError("spectrum requires a mixture spec (a single system is a 1-component mixture)")
     if "policy" not in spec:
         raise SpecError("spectrum requires a policy in the spec")
-    out, header = _output(out_dir, seed, spec_path)
     samples = mixture_spectrum_demo(spec["mixture"], spec["policy"], n=n, draws=draws, seed=seed)
     inf_est = spectral_rate_estimate(samples, "inf", delta)
     sup_est = spectral_rate_estimate(samples, "sup", delta)
@@ -196,34 +179,31 @@ def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
     hi = np.ceil(samples.samples.max() / HIST_BIN_NATS) * HIST_BIN_NATS + HIST_BIN_NATS
     edges = np.arange(lo, hi + HIST_BIN_NATS / 2, HIST_BIN_NATS)
     counts, _ = np.histogram(samples.samples, bins=edges)
-    _write_csv(
-        out / "spectrum_hist.csv", header, ["bin_left_nats", "count"],
-        ((f"{edges[i]:.6f}", int(c)) for i, c in enumerate(counts)),
-    )
-    _write_text(
-        out / "spectrum_summary.txt", header,
-        [
+    _write(out_dir, seed, spec_path, {
+        "spectrum_hist.csv": (
+            ["bin_left_nats", "count"], ((f"{edges[i]:.6f}", int(c)) for i, c in enumerate(counts)),
+        ),
+        "spectrum_summary.txt": [
             f"n={n}", f"draws={samples.count}", f"delta={delta:.6g}",
             f"inf_rate_estimate_nats={inf_est:.12g}",
             f"sup_rate_estimate_nats={sup_est:.12g}",
             f"tail_infinite={samples.tail_infinite}",
         ],
-    )
-    click.echo(f"wrote {out / 'spectrum_hist.csv'}")
+    })
 
 
 @main.command()
 @common_options
-@click.option("--n", default=200, show_default=True, type=int)
-@click.option("--trials", default=1000, show_default=True, type=int)
-@click.option("--draws", default=10_000, show_default=True, type=int, help="Atypicality-estimation draws.")
+@click.option("--n", default=200, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--draws", default=10_000, show_default=True, type=click.IntRange(min=1),
+              help="Atypicality-estimation draws.")
 @click.option("--mode", default="auto", show_default=True, type=click.Choice(["auto", "explicit", "implicit"]))
 def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
     """Random-coding trials with the rho_n bound decomposition."""
     spec = load_spec(spec_path)
     if spec["kind"] != "system":
         raise SpecError("simulate requires a system spec")
-    out, header = _output(out_dir, seed, spec_path)
     if "policy" in spec:
         policy = spec["policy"]
     else:
@@ -240,7 +220,6 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
         system, n, gamma1, gamma2, rate=rate, seed=seed, trials=trials
     )
     report = run_experiment(system, experiment, mode=mode, pi_draws=draws)
-    _write_csv(out / "trials.csv", header, TRIAL_COLUMNS, (r.csv_row() for r in report.trials))
     rates = report.event_rates()
     lines = [
         f"n={experiment.n}", f"trials={experiment.trials}", f"mode={report.mode}",
@@ -256,8 +235,9 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
         f"error_within_bound={report.error_within_bound}",
         f"converse_mode={report.converse_mode}",
     ]
-    _write_text(out / "summary.txt", header, lines)
-    click.echo(f"wrote {out / 'summary.txt'}")
+    _write(out_dir, seed, spec_path, {
+        "summary.txt": lines, "trials.csv": (TRIAL_COLUMNS, (r.csv_row() for r in report.trials)),
+    })
 
 
 @main.command()
@@ -280,11 +260,6 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         u_size=spec.get("u_size") if u_size is None else u_size,
         rd_grid=rd_grid, restarts=restarts, seed=seed,
     )
-    out, header = _output(out_dir, seed, spec_path)
-    _write_csv(
-        out / "frontier.csv", header, ["r_d_nats", "r_nats"],
-        ((f"{p.r_d:.12g}", f"{p.r:.12g}") for p in points),
-    )
     knee = saturation_knee(points)
     lines = [f"saturation_knee_r_d={'none' if knee is None else f'{knee:.12g}'}"]
     for p in points:
@@ -292,8 +267,10 @@ def region(spec_path, out_dir, seed, workers, v_size, u_size, restarts, grid_poi
         lines.append(f"  v_given_s={np.array2string(p.policy.v_given_s, precision=6)}")
         lines.append(f"  u_given_vs={np.array2string(p.policy.u_given_vs, precision=6)}")
         lines.append(f"  g={np.array2string(p.policy.x_map)}")
-    _write_text(out / "region_policies.txt", header, lines)
-    click.echo(f"wrote {out / 'frontier.csv'}")
+    _write(out_dir, seed, spec_path, {
+        "frontier.csv": (["r_d_nats", "r_nats"], ((f"{p.r_d:.12g}", f"{p.r:.12g}") for p in points)),
+        "region_policies.txt": lines,
+    })
 
 
 if __name__ == "__main__":

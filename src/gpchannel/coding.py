@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -47,7 +46,6 @@ WORK_CAP = 2**30
 # uniforms per codebook draw chunk, and scores per explicit decode batch
 _DRAW_CELLS = 2**18
 _DECODE_SCORES = 2**21
-_MESSAGE_LABEL_CAP = 2**62
 # implicit covering scans stop after this many fresh candidates and
 # extrapolate the failure mass of the rest of the bin
 SCAN_CAP = 256
@@ -187,10 +185,6 @@ class CodingExperiment:
     def message_count(self) -> int:
         return int(math.ceil(math.exp(min(self.n * max(self.rate, 0.0), 62 * math.log(2)))))
 
-    @property
-    def log_total_codewords(self) -> float:
-        return self.n * self.rate_total
-
 
 def design_experiment(
     system: MemorylessSystem,
@@ -258,18 +252,6 @@ def draw(bounds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return idx
 
 
-def sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws, one symbol per uniform in [0, 1).
-
-    probs is either one pmf shared by all uniforms (any shape of
-    uniforms) or one pmf row per uniform (shape (len(uniforms), m)).
-    Symbol j is drawn when cdf[j-1] <= u < cdf[j], so a zero-mass
-    symbol is never drawn, u = 0.0 included; a u at or above the
-    rounded total mass falls to the last symbol of positive mass.
-    """
-    return draw(inverse_cdf(probs), uniforms)
-
-
 def _block_densities(counts, laws, log_rows, draws: int, rng) -> np.ndarray:
     """Monte-Carlo block densities: class i holds counts[i] i.i.d. cells
     with law laws[i] and log row log_rows[i]. Each of the `draws` rows
@@ -323,49 +305,18 @@ def eta(
     thresholds: TypicalityThresholds,
     inner_draws: int,
     rng,
-) -> tuple[float, float]:
+) -> float:
     """P((u_block, Y^n) not T1-typical | u_block, s_block), Monte-Carlo.
 
     Outputs are conditionally i.i.d. given the (u,s) symbol at each
     position, so only the (u,s) class counts matter; each class draws a
     multinomial over output symbols and dots with the density row d_uy[u].
-    Returns (estimate, standard error).
     """
     n_s = system.p_us.shape[1]
     counts = np.bincount(u_block.astype(np.int64) * n_s + s_block, minlength=system.p_us.size)
     laws = system.p_y_given_us.reshape(counts.size, -1)
     sums = _block_densities(counts, laws, np.repeat(system.d_uy, n_s, axis=0), inner_draws, rng)
-    est = int((sums < u_block.size * thresholds.t1).sum()) / inner_draws
-    return est, bernoulli_sigma(est, inner_draws)
-
-
-def eta_exact(
-    u_block: np.ndarray,
-    s_block: np.ndarray,
-    system: MemorylessSystem,
-    thresholds: TypicalityThresholds,
-) -> float:
-    """Exact eta by output enumeration; oracle for n <= 12."""
-    n = u_block.size
-    n_y = system.channel.n_outputs
-    if n_y**n > 4**12:
-        raise BudgetError("exact eta enumeration is limited to tiny blocks")
-    total = 0.0
-    for y_block in product(range(n_y), repeat=n):
-        logp = 0.0
-        dsum = 0.0
-        for i, y in enumerate(y_block):
-            p = system.p_y_given_us[u_block[i], s_block[i], y]
-            if p == 0.0:
-                logp = -math.inf
-                break
-            logp += math.log(p)
-            dsum += system.d_uy[u_block[i], y]
-        if logp == -math.inf:
-            continue
-        if not dsum >= n * thresholds.t1:  # catches -inf and nan-free atypical
-            total += math.exp(logp)
-    return total
+    return int((sums < u_block.size * thresholds.t1).sum()) / inner_draws
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +357,9 @@ def build_code(experiment: CodingExperiment, p_u: np.ndarray) -> Codebook:
     words = np.empty((total, experiment.n), dtype=np.min_scalar_type(p_u.size - 1))
     # row chunks read the stream in the same order as one (total, n) draw
     rows = max(1, _DRAW_CELLS // experiment.n)
+    bounds = inverse_cdf(p_u)
     for lo in range(0, total, rows):
-        words[lo : lo + rows] = sample(p_u, rng.random(words[lo : lo + rows].shape))
+        words[lo : lo + rows] = draw(bounds, rng.random(words[lo : lo + rows].shape))
     return Codebook(words=words, subcodebook_size=experiment.subcodebook_size, message_count=experiment.message_count)
 
 
@@ -420,8 +372,7 @@ def _covering_scan(candidates, s_block, system, thresholds, covering_threshold, 
     """
     first = None
     for position, u_block in enumerate(candidates):
-        est, _ = eta(u_block, s_block, system, thresholds, inner_draws, rng)
-        if est <= covering_threshold:
+        if eta(u_block, s_block, system, thresholds, inner_draws, rng) <= covering_threshold:
             return position, u_block, False
         if position == 0:
             first = u_block
@@ -454,17 +405,13 @@ def encode(
 
 def decode(
     codebook: Codebook,
-    y_block: np.ndarray,
+    y_blocks: np.ndarray,
     system: MemorylessSystem,
     thresholds: TypicalityThresholds,
-) -> int | None:
-    """Unique-bin threshold decoder; None when zero or multiple bins hit."""
-    return _decode_hits(codebook, np.asarray(y_block)[None], system, thresholds)[0][0]
-
-
-def _decode_hits(codebook, y_blocks, system, thresholds) -> list[tuple[int | None, np.ndarray]]:
-    """Per row of the (T, n) y_blocks: (decoded message or None,
-    indices of the T1-typical codewords)."""
+) -> list[tuple[int | None, np.ndarray]]:
+    """Unique-bin threshold decoder over the rows of the (T, n) y_blocks:
+    per row, (decoded message, indices of the T1-typical codewords), the
+    message None when zero or several bins hold a typical codeword."""
     scores = kernels.codebook_scores(system.d_uy, codebook.words, y_blocks)
     out = []
     for typical in scores >= y_blocks.shape[1] * thresholds.t1:
@@ -591,7 +538,7 @@ def _trials(system, experiment, thresholds, pi, codebook=None):
     for t in range(experiment.trials):
         if codebook is None:
             rng = stream(experiment.seed, 0x7122, t)
-            message = t % min(experiment.message_count, _MESSAGE_LABEL_CAP)
+            message = t % experiment.message_count
         else:
             rng = stream(experiment.seed, 0x7121, t)
             message = int(rng.integers(codebook.message_count))
@@ -628,7 +575,7 @@ def _run_explicit(system, experiment, thresholds, pi) -> list[TrialRecord]:
     batch = max(1, _DECODE_SCORES // codebook.words.shape[0])
     decoded_hits = []
     for lo in range(0, experiment.trials, batch):
-        decoded_hits += _decode_hits(codebook, y_blocks[lo : lo + batch], system, thresholds)
+        decoded_hits += decode(codebook, y_blocks[lo : lo + batch], system, thresholds)
     records = []
     for t, ((message, l_index, e1, e2), (decoded, hits)) in enumerate(zip(sent, decoded_hits)):
         lo, hi = codebook.bin_range(message)
@@ -647,7 +594,7 @@ def _run_implicit(system, experiment, thresholds, pi) -> list[TrialRecord]:
     upper-bounds the explicit decoder's error.
     """
     records = []
-    log_k_out = experiment.log_total_codewords  # out-of-bin population
+    log_k_out = experiment.n * experiment.rate_total  # out-of-bin population
     for t, message, l_index, e1, e2, y_block, rng in _trials(system, experiment, thresholds, pi):
         p_e3 = _confusion_probability(system, y_block, thresholds, log_k_out, rng)
         e3 = bool(rng.random() < p_e3)

@@ -10,7 +10,6 @@ from gpchannel.capacity import (
     blahut_arimoto,
     cesaro_capacity,
     gp_capacity_dm,
-    in_dyadic_blocks,
     interleaved_value,
     j_density_extrema,
     j_structured_slots,
@@ -23,6 +22,11 @@ from gpchannel.prob import ChannelKernel, Pmf, ValidationError, effective_kernel
 from gpchannel.rng import stream
 
 from conftest import bin_capacity, bsc_matrix, full_product_maps, state_blind_bsc, state_flip_bsc
+
+
+def in_dyadic_blocks(i: int) -> bool:
+    """Closed-form block rule for the alternation index set."""
+    return i.bit_length() % 2 == 0
 
 
 def sym_bsc_kernel(p0: float, p1: float) -> ChannelKernel:

@@ -32,6 +32,15 @@ def system_spec(**extra):
     return spec
 
 
+def readme_spec():
+    """The README's two-state state-flip spec, whose policy sends x = u xor s."""
+    return system_spec(
+        channel=[bsc(0.1), bsc(0.9)],
+        policy={"u_given_s": [[0.5, 0.5], [0.5, 0.5]], "g": [[0, 1], [1, 0]]},
+        rate_scale=0.7,
+    )
+
+
 def mixture_spec():
     return {
         "kind": "mixture",
@@ -407,6 +416,22 @@ class TestExitCodes:
                         load_spec(write_spec(tmp_path, broken))
 
     @pytest.mark.parametrize(
+        "command, spec, args, code",
+        [
+            ("capacity", system_spec(u_size=100000), [], EXIT_VALIDATION),
+            ("simulate", readme_spec(), ["--mode", "explicit", "--n", "2000", "--trials", "2"], EXIT_BUDGET),
+            ("spectrum", mixture_spec(), ["--draws", "50"], EXIT_BUDGET),
+            ("simulate", {k: v for k, v in system_spec().items() if k != "policy"}, ["--n", "0"], EXIT_VALIDATION),
+        ],
+        ids=["capacity-u_size", "simulate-explicit-caps", "spectrum-draws", "simulate-n"],
+    )
+    def test_refused_run_leaves_no_output(self, tmp_path, command, spec, args, code):
+        spec = write_spec(tmp_path, spec)
+        res = run([command, "--spec", str(spec), "--out", str(tmp_path / "o"), *args])
+        assert res.exit_code == code
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, target, error, code, args",
         [
             ("region", "region_frontier", ValidationError, EXIT_VALIDATION, ["--restarts", "1"]),
@@ -450,7 +475,8 @@ class TestSpectrumCommand:
         spec = write_spec(tmp_path, mixture_spec())
         res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", "0"])
         assert res.exit_code == EXIT_VALIDATION
-        assert "n must be positive" in res.output
+        assert "--n" in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_zero_draws(self, tmp_path):
         spec = write_spec(tmp_path, mixture_spec())
@@ -511,6 +537,14 @@ class TestSimulateCommand:
         )
         assert res.exit_code == EXIT_BUDGET
         assert "implicit" in res.output
+
+    @pytest.mark.parametrize("option", ["--n", "--trials", "--draws"])
+    def test_zero_count_names_option(self, tmp_path, option):
+        spec = write_spec(tmp_path, system_spec())
+        res = run(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o"), option, "0"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert option in res.output
+        assert not (tmp_path / "o").exists()
 
     def test_requires_system(self, tmp_path):
         spec = write_spec(tmp_path, mixture_spec())

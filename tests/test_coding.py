@@ -1,11 +1,12 @@
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from gpchannel import coding
-from gpchannel.cli import _write_csv
+from gpchannel.cli import _write
 from gpchannel.coding import (
     TRIAL_COLUMNS,
     BudgetError,
@@ -13,22 +14,52 @@ from gpchannel.coding import (
     CodingExperiment,
     MemorylessSystem,
     TypicalityThresholds,
+    bernoulli_sigma,
     build_code,
     decode,
     default_thresholds,
     design_experiment,
+    draw,
     encode,
     estimate_pi,
     eta,
-    eta_exact,
+    inverse_cdf,
     run_experiment,
-    sample,
     wilson_interval,
 )
 from gpchannel.prob import ChannelKernel, GPPolicy, Pmf, ValidationError
 from gpchannel.rng import stream
 
 from conftest import bin_capacity, identity_policy, state_blind_bsc, state_flip_bsc
+
+
+def eta_exact(
+    u_block: np.ndarray,
+    s_block: np.ndarray,
+    system: MemorylessSystem,
+    thresholds: TypicalityThresholds,
+) -> float:
+    """Exact eta by output enumeration; oracle for n <= 12."""
+    n = u_block.size
+    n_y = system.channel.n_outputs
+    if n_y**n > 4**12:
+        raise BudgetError("exact eta enumeration is limited to tiny blocks")
+    total = 0.0
+    for y_block in product(range(n_y), repeat=n):
+        logp = 0.0
+        dsum = 0.0
+        for i, y in enumerate(y_block):
+            p = system.p_y_given_us[u_block[i], s_block[i], y]
+            if p == 0.0:
+                logp = -math.inf
+                break
+            logp += math.log(p)
+            dsum += system.d_uy[u_block[i], y]
+        if logp == -math.inf:
+            continue
+        if not dsum >= n * thresholds.t1:  # catches -inf and nan-free atypical
+            total += math.exp(logp)
+    return total
 
 
 @pytest.fixture
@@ -89,16 +120,14 @@ class TestEta:
         rng = stream(0, 31)
         u = np.zeros(8, dtype=np.int64)
         s = np.zeros(8, dtype=np.int64)
-        est, _ = eta(u, s, bsc_system, TypicalityThresholds(t1=-1e9, t2=0.0), 500, rng)
-        assert est == 0.0
+        assert eta(u, s, bsc_system, TypicalityThresholds(t1=-1e9, t2=0.0), 500, rng) == 0.0
 
     def test_noiseless_identity_below_ln2(self, noiseless_system):
         rng = stream(0, 32)
         u = np.array([0, 1, 1, 0], dtype=np.int64)
         s = np.zeros(4, dtype=np.int64)
         th = TypicalityThresholds(t1=0.5 * math.log(2), t2=0.0)
-        est, _ = eta(u, s, noiseless_system, th, 500, rng)
-        assert est == 0.0  # density is deterministically ln2 per symbol
+        assert eta(u, s, noiseless_system, th, 500, rng) == 0.0  # density is deterministically ln2 per symbol
 
     def test_monte_carlo_matches_exact_enumeration(self, bsc_system):
         rng = stream(0, 33)
@@ -107,7 +136,8 @@ class TestEta:
             u = stream(trial, 34).integers(0, 2, size=8)
             s = stream(trial, 35).integers(0, 2, size=8)
             exact = eta_exact(u, s, bsc_system, th)
-            est, se = eta(u, s, bsc_system, th, 4000, rng)
+            est = eta(u, s, bsc_system, th, 4000, rng)
+            se = bernoulli_sigma(est, 4000)
             assert abs(est - exact) <= 3 * max(se, 1e-3)
 
 
@@ -128,7 +158,7 @@ class TestCodebook:
         # the codebook spans more than one draw chunk
         assert code.words.size > coding._DRAW_CELLS
         assert code.words.dtype == np.uint8
-        ref = sample(p_u, stream(exp_.seed, 0xB00C).random(code.words.shape))
+        ref = draw(inverse_cdf(p_u), stream(exp_.seed, 0xB00C).random(code.words.shape))
         np.testing.assert_array_equal(code.words, ref)
 
     def test_single_codeword_bins(self):
@@ -171,17 +201,17 @@ class TestEncodeDecode:
         words = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.int64)
         code = Codebook(words=words, subcodebook_size=1, message_count=2)
         th = TypicalityThresholds(t1=0.9 * math.log(2), t2=0.0)
-        assert decode(code, np.array([1, 1, 1, 1]), noiseless_system, th) == 1
-        assert decode(code, np.array([0, 0, 0, 0]), noiseless_system, th) == 0
+        assert decode(code, np.array([[1, 1, 1, 1]]), noiseless_system, th)[0][0] == 1
+        assert decode(code, np.array([[0, 0, 0, 0]]), noiseless_system, th)[0][0] == 0
 
     def test_decode_no_hit_and_ambiguity(self, noiseless_system):
         words = np.array([[0, 0], [0, 0], [1, 1]], dtype=np.int64)
         code = Codebook(words=words[:2], subcodebook_size=1, message_count=2)
         th = TypicalityThresholds(t1=0.9 * math.log(2), t2=0.0)
         # both bins hold the same typical codeword -> ambiguous
-        assert decode(code, np.array([0, 0]), noiseless_system, th) is None
+        assert decode(code, np.array([[0, 0]]), noiseless_system, th)[0][0] is None
         # no typical codeword at all
-        assert decode(code, np.array([1, 1]), noiseless_system, th) is None
+        assert decode(code, np.array([[1, 1]]), noiseless_system, th)[0][0] is None
 
 
 class TestRunExperiment:
@@ -215,20 +245,20 @@ class TestRunExperiment:
         code = build_code(exp_, bsc_system.p_u)
         th = default_thresholds(bsc_system, 0.02, 0.02)
         received = []
-        decode_batch = coding._decode_hits
+        decode_batch = coding.decode
 
         def spy(codebook, y_blocks, system, thresholds):
             received.append(y_blocks.copy())
             return decode_batch(codebook, y_blocks, system, thresholds)
 
-        monkeypatch.setattr(coding, "_decode_hits", spy)
+        monkeypatch.setattr(coding, "decode", spy)
         monkeypatch.setattr(coding, "_DECODE_SCORES", 4 * code.words.shape[0])
         rep = run_experiment(bsc_system, exp_, mode="explicit", pi_draws=1000)
         monkeypatch.undo()
         assert [y.shape[0] for y in received] == [4] * 6 + [1]
         outcomes = set()
         for record, y in zip(rep.trials, np.concatenate(received)):
-            decoded = decode(code, y, bsc_system, th)
+            decoded = decode(code, y[None], bsc_system, th)[0][0]
             # per-position reference scores; every cell of the BSC table is finite
             hits = np.flatnonzero(bsc_system.d_uy[code.words, y].sum(axis=1) >= y.size * th.t1)
             lo, hi = code.bin_range(record.message)
@@ -248,7 +278,7 @@ class TestRunExperiment:
             return atypical(system, u_block, y_block, t1)
 
         # no candidate qualifies, so every scan fails
-        monkeypatch.setattr(coding, "eta", lambda *args: (1.0, 0.0))
+        monkeypatch.setattr(coding, "eta", lambda *args: 1.0)
         monkeypatch.setattr(coding, "_atypical", recording)
         rep = run_experiment(bsc_system, exp_, mode=mode, pi_draws=500)
         code = build_code(exp_, bsc_system.p_u)
@@ -260,7 +290,7 @@ class TestRunExperiment:
             else:
                 rng = stream(exp_.seed, 0x7122, t)
                 rng.random(exp_.n)  # the state block
-                first = sample(bsc_system.p_u, rng.random(exp_.n))
+                first = draw(inverse_cdf(bsc_system.p_u), rng.random(exp_.n))
                 assert record.l_index == 0
             np.testing.assert_array_equal(u_block, first)
 
@@ -272,6 +302,13 @@ class TestRunExperiment:
         rep = run_experiment(bsc_system, exp_, mode="implicit", pi_draws=500)
         assert len(rep.trials) == 20
         assert all(r.l_index == 0 for r in rep.trials)
+
+    def test_implicit_trial_reads_its_index_past_the_label_range(self, bsc_system):
+        # n * rate = 50 nats > 62 ln 2: message_count saturates at about 2^62
+        exp_ = CodingExperiment(n=200, gamma1=0.02, gamma2=0.02, rate=0.25, rate_total=0.3, trials=5)
+        assert exp_.message_count >= 2**62
+        rep = run_experiment(bsc_system, exp_, mode="implicit", pi_draws=200)
+        assert [r.message for r in rep.trials] == list(range(5))
 
     def test_output_law_is_the_mapped_channel_row(self, uniform_state):
         channel = state_flip_bsc(0.1)
@@ -297,9 +334,10 @@ class TestRunExperiment:
     def test_trial_log_roundtrip(self, bsc_system, tmp_path):
         exp_ = design_experiment(bsc_system, 60, 0.02, 0.02, rate=0.5 * bsc_system.i_uy, seed=10, trials=20)
         rep = run_experiment(bsc_system, exp_, pi_draws=1000)
-        path = tmp_path / "trials.csv"
-        _write_csv(path, [], TRIAL_COLUMNS, (r.csv_row() for r in rep.trials))
-        lines = path.read_text(encoding="utf-8").splitlines()
+        spec = tmp_path / "spec.json"
+        spec.write_text("{}", encoding="utf-8")
+        _write(tmp_path / "out", 10, spec, {"trials.csv": (TRIAL_COLUMNS, (r.csv_row() for r in rep.trials))})
+        lines = (tmp_path / "out" / "trials.csv").read_text(encoding="utf-8").splitlines()[3:]
         assert lines[0] == "trial,message,L,e1,e2,e3,decoded,ok"
         assert len(lines) == 21
 

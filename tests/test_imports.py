@@ -1,0 +1,33 @@
+"""Every name a library module imports is read in that module, so a
+helper that moves out leaves no import behind."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gpchannel"
+
+
+def _unread_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_check_finds_an_unread_import():
+    assert _unread_imports("from itertools import product\nimport numpy as np\nnp.zeros(1)\n") == {"product"}
+
+
+def test_every_library_import_is_read():
+    # __init__.py imports names to re-export them
+    unread = {
+        path.name: sorted(_unread_imports(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -11,7 +11,7 @@ from gpchannel.prob import (
     ValidationError,
     effective_kernel,
 )
-from gpchannel.coding import MemorylessSystem, sample
+from gpchannel.coding import MemorylessSystem, draw, inverse_cdf
 from gpchannel.region import RegionPolicy
 from gpchannel.rng import stream
 
@@ -209,34 +209,34 @@ class TestSampling:
 
     def test_degenerate_pmf_constant(self):
         p = Pmf(np.array([0.0, 0.0, 1.0]))
-        assert (sample(p.probs, stream(3, 0).random(1000)) == 2).all()
+        assert (draw(inverse_cdf(p.probs), stream(3, 0).random(1000)) == 2).all()
 
     def test_bernoulli_frequency(self):
         p = Pmf(np.array([0.5, 0.5]))
-        x = sample(p.probs, stream(4, 0).random(10**6))
+        x = draw(inverse_cdf(p.probs), stream(4, 0).random(10**6))
         assert abs(x.mean() - 0.5) < 0.002
 
     def test_empirical_tv_distance(self):
         p = Pmf(np.array([0.1, 0.2, 0.3, 0.4]))
-        x = sample(p.probs, stream(5, 0).random(10**6))
+        x = draw(inverse_cdf(p.probs), stream(5, 0).random(10**6))
         freq = np.bincount(x, minlength=4) / x.size
         assert 0.5 * np.abs(freq - p.probs).sum() < 0.005
 
     def test_determinism(self):
         p = Pmf(np.array([0.3, 0.7]))
-        a = sample(p.probs, stream(6, 0).random(5000))
-        b = sample(p.probs, stream(6, 0).random(5000))
+        a = draw(inverse_cdf(p.probs), stream(6, 0).random(5000))
+        b = draw(inverse_cdf(p.probs), stream(6, 0).random(5000))
         np.testing.assert_array_equal(a, b)
 
     def test_conditional_sampling_respects_rows(self):
         policy = GPPolicy(u_given_s=np.array([[1.0, 0.0], [0.0, 1.0]]), x_map=np.array([[0, 0], [1, 1]]))
         conds = np.array([0, 1, 0, 1] * 50)
-        out = sample(policy.u_given_s[conds], stream(7, 0).random(conds.size))
+        out = draw(inverse_cdf(policy.u_given_s[conds]), stream(7, 0).random(conds.size))
         np.testing.assert_array_equal(out, conds)
 
     def test_channel_sampling(self):
         ch = state_blind_bsc(0.0)
         states = np.zeros(100, dtype=np.int64)
         inputs = np.tile([0, 1], 50)
-        out = sample(ch.w[states, inputs], stream(8, 0).random(100))
+        out = draw(inverse_cdf(ch.w[states, inputs]), stream(8, 0).random(100))
         np.testing.assert_array_equal(out, inputs)

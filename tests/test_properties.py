@@ -33,7 +33,7 @@ from gpchannel.capacity import (
     optimize_gp_policy,
     state_at_both_capacity,
 )
-from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf, sample
+from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf
 from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
 from gpchannel.mixture import _logsumexp
 from gpchannel.prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
@@ -145,7 +145,7 @@ def test_atypical_matches_sum_by_position(pairs, t1, u_dtype):
 @given(st.integers(1, 6).flatmap(pmf), _uniforms)
 def test_shared_pmf_sample_in_support(p, uniforms):
     u = np.array([0.0] + uniforms)
-    out = sample(p, u)
+    out = draw(inverse_cdf(p), u)
     assert out.shape == u.shape
     assert ((out >= 0) & (out < p.size)).all()
     assert (p[out] > 0).all()
@@ -157,7 +157,7 @@ def test_row_sample_in_support(rows, data):
     tail = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=rows.shape[0] - 1,
                               max_size=rows.shape[0] - 1))
     u = np.array([0.0] + tail)
-    out = sample(rows, u)
+    out = draw(inverse_cdf(rows), u)
     assert out.shape == (rows.shape[0],)
     assert ((out >= 0) & (out < rows.shape[1])).all()
     assert (rows[np.arange(rows.shape[0]), out] > 0).all()
@@ -190,17 +190,17 @@ def table_picks(draw):
 # symbol after them must not be drawn there; the second row also starts
 # with a zero-mass symbol that u = 0.0 must skip
 @example((np.array([[0.1] * 10 + [0.0], [0.0] + [0.1] * 10]), [(0, 0.0), (0, 1 - 2**-53), (1, 0.0), (1, 1 - 2**-53)]))
-def test_table_draw_equals_sample_of_gathered_rows(case):
+def test_table_draw_equals_draw_of_gathered_rows(case):
     probs, picks = case
     rows = np.array([r for r, _ in picks], dtype=np.intp)
     u = np.array([x for _, x in picks])
     got = draw(inverse_cdf(probs)[:, rows], u)
     assert got.dtype == np.intp
-    np.testing.assert_array_equal(got, sample(probs[rows], u))
+    np.testing.assert_array_equal(got, draw(inverse_cdf(probs[rows]), u))
     np.testing.assert_array_equal(got, [_reference_symbol(probs[r], x) for r, x in picks])
     assert (probs[rows, got] > 0).all()
     # a shared pmf draws the same symbols as one row per uniform
-    np.testing.assert_array_equal(draw(inverse_cdf(probs[0]), u), sample(probs[[0] * u.size], u))
+    np.testing.assert_array_equal(draw(inverse_cdf(probs[0]), u), draw(inverse_cdf(probs[[0] * u.size]), u))
 
 
 _log_terms = st.one_of(
