@@ -1,7 +1,11 @@
 """Every name a library module imports is read in that module, so a
-helper that moves out leaves no import behind."""
+helper that moves out leaves no import behind; and the CLI starts
+without scipy, which only the tests use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpchannel"
@@ -31,3 +35,10 @@ def test_every_library_import_is_read():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, gpchannel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

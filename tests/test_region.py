@@ -6,9 +6,12 @@ import pytest
 from gpchannel.capacity import gp_capacity_dm, state_at_both_capacity
 from gpchannel.prob import ChannelKernel, Pmf, ValidationError
 from gpchannel.region import (
+    PENALTY_MU,
     RegionPoint,
     RegionPolicy,
+    _penalty_value_and_grad,
     _rates,
+    minimize,
     region_frontier,
     region_membership,
     saturation_knee,
@@ -103,6 +106,75 @@ class TestRatesAndMembership:
                 u_given_vs=np.full((2, 2, 2), 0.5),
                 x_map=np.zeros((2, 2, 2), dtype=np.int64),
             )
+
+
+def quadratic(seed=0, dim=20):
+    """A seeded convex quadratic 0.5 (x - x*)' A (x - x*), its value and
+    gradient, and its minimiser x*."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim))
+    a = m @ m.T / dim + np.eye(dim)
+    x_star = rng.normal(size=dim)
+
+    def fun(x):
+        r = x - x_star
+        return 0.5 * r @ a @ r, a @ r
+
+    return fun, x_star
+
+
+class TestMinimize:
+    def test_reaches_the_minimiser_of_a_convex_quadratic(self):
+        for seed in range(5):
+            fun, x_star = quadratic(seed)
+            res = minimize(fun, np.zeros(x_star.size))
+            # the 1e-5 gradient stop bounds the distance; the value closes far tighter
+            assert res.fun <= 1e-8 and res.fun == fun(res.x)[0]
+            assert np.abs(res.x - x_star).max() <= 1e-5
+            assert 0 < res.nit < 120
+
+    def test_counts_every_evaluation(self):
+        calls = []
+
+        def counted(x, *args):
+            calls.append(x)
+            return _penalty_value_and_grad(x, *args)
+
+        w, q = asym_bsc().w, np.array([0.5, 0.5])
+        x0 = np.random.default_rng(3).normal(scale=1.5, size=2 * 2 + 2 * 2 * 2 + 2 * 2 * 2 * 2)
+        res = minimize(counted, x0, args=(w, q, 2, 2, PENALTY_MU, 0.1))
+        assert res.nfev == len(calls) > res.nit > 0
+        assert res.fun == _penalty_value_and_grad(res.x, w, q, 2, 2, PENALTY_MU, 0.1)[0]
+
+    def test_start_at_the_minimum_is_returned_unchanged(self):
+        fun, x_star = quadratic()
+        res = minimize(fun, x_star)
+        np.testing.assert_array_equal(res.x, x_star)
+        assert (res.nfev, res.nit, res.fun) == (1, 0, 0.0)
+
+    def test_maxiter_bounds_the_iterations(self):
+        fun, x_star = quadratic()
+        res = minimize(fun, np.zeros(x_star.size), maxiter=1)
+        assert res.nit == 1 and res.fun < fun(np.zeros(x_star.size))[0]
+
+    def test_frontier_at_least_scipys(self, monkeypatch):
+        # scipy's L-BFGS-B is a test-only reference for the penalty solve
+        import scipy.optimize
+
+        import gpchannel.region as region
+
+        def scipy_minimize(fun, x0, *, args=(), maxiter=120):
+            return scipy.optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
+                                           options={"maxiter": maxiter})
+
+        grid = np.linspace(0.0, math.log(2), 5)
+        for seed, (channel, state) in enumerate(probe_systems(12)):
+            kw = dict(v_size=3, u_size=4, rd_grid=grid, restarts=3, seed=seed)
+            ours = region_frontier(channel, state, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(region, "minimize", scipy_minimize)
+                reference = region_frontier(channel, state, **kw)
+            assert sum(pt.r for pt in ours) >= sum(pt.r for pt in reference) - 1e-6, seed
 
 
 class TestFrontier:
