@@ -45,9 +45,9 @@ ITERATIONS = 200  # the most entropic steps a start row of a GP optimizer solve 
 # times max(1, |objective|) and moves no component weight by more than STOP_TOL
 STOP_TOL = 1e-13
 MIN_HORIZON = 4  # the shortest slot table cesaro_capacity accepts
-# Blahut-Arimoto stops when the capacity estimate moves by at most
-# _BA_TOL relative to max(1, estimate), or after _BA_MAX_ITER updates
-_BA_TOL = 1e-9
+# Blahut-Arimoto stops once its duality gap max_x D - sum_x r D is at most
+# _BA_GAP nats, or after _BA_MAX_ITER extrapolation cycles
+_BA_GAP = 1e-9
 _BA_MAX_ITER = 10_000
 
 
@@ -76,20 +76,37 @@ def _divergences(w: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Capacity (nats) and maximizing input law of a stateless channel."""
+    """Capacity (nats) and maximizing input law of a stateless channel.
+
+    Each cycle takes two Blahut-Arimoto updates, extrapolates the log
+    law along them with step min(-|r|/|s|, -1) and applies one more
+    update (SQUAREM, Varadhan-Roland, Scand. J. Statist. 35(2), 2008); it
+    keeps the cycle only if sum_x r D does not fall, and otherwise the
+    two plain updates. It stops on a duality gap of at most _BA_GAP, so
+    max_x D bounds the returned value from above within _BA_GAP.
+    """
     w = np.asarray(p_y_x, dtype=np.float64)
     r = np.full(w.shape[0], 1.0 / w.shape[0])
-    c_prev = -np.inf
+    d = _divergences(w, r)
+
+    def update(r, d):
+        r = r * np.exp(d - d.max())
+        return r / r.sum()
+
     for _ in range(_BA_MAX_ITER):
-        d = _divergences(w, r)
-        r_new = r * np.exp(d - d.max())
-        r_new /= r_new.sum()
-        c = float((r * d).sum())
-        if abs(c - c_prev) <= _BA_TOL * max(1.0, abs(c)):
-            r = r_new
+        if d.max() - r @ d <= _BA_GAP:
             break
-        r = r_new
-        c_prev = c
+        r1 = update(r, d)
+        r2 = update(r1, _divergences(w, r1))
+        step, bend = _slog(r1) - _slog(r), _slog(r2) - 2.0 * _slog(r1) + _slog(r)
+        alpha = min(-np.linalg.norm(step) / np.linalg.norm(bend), -1.0) if bend.any() else -1.0
+        r3 = update(r, -2.0 * alpha * step + alpha * alpha * bend)
+        r3 = update(r3, _divergences(w, r3))
+        d3 = _divergences(w, r3)
+        if r3 @ d3 >= r @ d:
+            r, d = r3, d3
+        else:
+            r, d = r2, _divergences(w, r2)
     q = r[:, None] * w
     return max(mutual_information(q), 0.0), r
 
