@@ -20,6 +20,7 @@ policy that fits it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -107,6 +108,7 @@ def _anchor_policy(v_rows: np.ndarray, gp_policy: GPPolicy, u_size: int) -> Regi
 # it into U otherwise trades description cost for message rate at exactly
 # 1 nat per nat, so the frontier's slope never exceeds 1.
 PENALTY_MU = 2.0
+PENALTY_MAXITER = 120  # L-BFGS iterations per penalty solve
 
 
 def _softmax(x):
@@ -171,7 +173,7 @@ class MinimizeResult:
     nit: int  # iterations
 
 
-def minimize(fun, x0, *, args=(), maxiter=120) -> MinimizeResult:
+def minimize(fun, x0, *, args=()) -> MinimizeResult:
     """Minimise fun(x, *args) -> (value, gradient) by L-BFGS (Liu-Nocedal,
     Math. Program. 45, 1989) with 10 correction pairs.
 
@@ -180,13 +182,13 @@ def minimize(fun, x0, *, args=(), maxiter=120) -> MinimizeResult:
     bracket's ends. Weak Wolfe holds just past a kink of the hinge
     penalty, so the pair taken there records the kink. The first trial
     step is 1/|g|, later ones 1. It stops on max|g| <= 1e-5, on a relative
-    decrease <= 2.22e-9 (scipy's L-BFGS-B defaults), after maxiter
+    decrease <= 2.22e-9 (scipy's L-BFGS-B defaults), after PENALTY_MAXITER
     iterations, or when 30 trials find no step.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = fun(x, *args)
     nfev, nit, pairs = 1, 0, deque(maxlen=10)
-    while nit < maxiter and np.abs(g).max() > 1e-5:
+    while nit < PENALTY_MAXITER and np.abs(g).max() > 1e-5:
         d, alphas = -g, []
         for s, y, rho in reversed(pairs):
             alphas.append(rho * (s @ d))
@@ -195,15 +197,16 @@ def minimize(fun, x0, *, args=(), maxiter=120) -> MinimizeResult:
             d = d / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]))
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             d = d + (a - rho * (y @ d)) * s
-        slope = g @ d
-        t, lo, hi = 1.0 if nit else 1.0 / np.linalg.norm(g), (0.0, f, slope), None
+        slope = float(g @ d)
+        t, lo, hi = 1.0 if nit else 1.0 / float(np.linalg.norm(g)), (0.0, f, slope), None
         for _ in range(30):
             f_t, g_t = fun(x + t * d, *args)
             nfev += 1
+            slope_t = float(g_t @ d)
             if f_t > f + 1e-3 * t * slope:
-                hi = (t, f_t, g_t @ d)
-            elif g_t @ d < 0.9 * slope:
-                lo = (t, f_t, g_t @ d)
+                hi = (t, f_t, slope_t)
+            elif slope_t < 0.9 * slope:
+                lo = (t, f_t, slope_t)
             else:
                 break
             if hi is None:
@@ -211,9 +214,10 @@ def minimize(fun, x0, *, args=(), maxiter=120) -> MinimizeResult:
                 continue
             (a, fa, ga), (b, fb, gb) = lo, hi
             d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
-            root = np.sqrt(max(d1 * d1 - ga * gb, 0.0))
-            t = b - (b - a) * (gb + root - d1) / (gb - ga + 2.0 * root)
-            t = np.clip(np.nan_to_num(t, nan=0.5 * (a + b)), a + 0.1 * (b - a), b - 0.1 * (b - a))
+            root = math.sqrt(max(d1 * d1 - ga * gb, 0.0))
+            den = gb - ga + 2.0 * root
+            t = b - (b - a) * (gb + root - d1) / den if den else 0.5 * (a + b)
+            t = min(max(t, a + 0.1 * (b - a)), b - 0.1 * (b - a))
         else:
             break
         s, y = t * d, g_t - g
@@ -235,7 +239,7 @@ def _optimize_grid_point(channel, state, v_size, u_size, r_d, restarts, seed):
     for _ in range(restarts):
         res = minimize(
             _penalty_value_and_grad, rng.normal(scale=1.5, size=dim),
-            args=(channel.w, state.probs, v_size, u_size, PENALTY_MU, r_d), maxiter=120,
+            args=(channel.w, state.probs, v_size, u_size, PENALTY_MU, r_d),
         )
         pv, pu, px = _unpack(res.x, n_s, v_size, u_size, n_x)
         policies.append(RegionPolicy(v_given_s=pv, u_given_vs=pu, x_map=px.argmax(axis=-1).astype(np.int64)))

@@ -6,6 +6,7 @@ import pytest
 from gpchannel.capacity import gp_capacity_dm, state_at_both_capacity
 from gpchannel.prob import ChannelKernel, Pmf, ValidationError
 from gpchannel.region import (
+    PENALTY_MAXITER,
     PENALTY_MU,
     RegionPoint,
     RegionPolicy,
@@ -131,7 +132,7 @@ class TestMinimize:
             # the 1e-5 gradient stop bounds the distance; the value closes far tighter
             assert res.fun <= 1e-8 and res.fun == fun(res.x)[0]
             assert np.abs(res.x - x_star).max() <= 1e-5
-            assert 0 < res.nit < 120
+            assert 0 < res.nit < PENALTY_MAXITER
 
     def test_counts_every_evaluation(self):
         calls = []
@@ -152,9 +153,12 @@ class TestMinimize:
         np.testing.assert_array_equal(res.x, x_star)
         assert (res.nfev, res.nit, res.fun) == (1, 0, 0.0)
 
-    def test_maxiter_bounds_the_iterations(self):
+    def test_iteration_cap_bounds_the_iterations(self, monkeypatch):
+        import gpchannel.region as region
+
+        monkeypatch.setattr(region, "PENALTY_MAXITER", 1)
         fun, x_star = quadratic()
-        res = minimize(fun, np.zeros(x_star.size), maxiter=1)
+        res = minimize(fun, np.zeros(x_star.size))
         assert res.nit == 1 and res.fun < fun(np.zeros(x_star.size))[0]
 
     def test_frontier_at_least_scipys(self, monkeypatch):
@@ -163,9 +167,9 @@ class TestMinimize:
 
         import gpchannel.region as region
 
-        def scipy_minimize(fun, x0, *, args=(), maxiter=120):
+        def scipy_minimize(fun, x0, *, args=()):
             return scipy.optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                                           options={"maxiter": maxiter})
+                                           options={"maxiter": region.PENALTY_MAXITER})
 
         grid = np.linspace(0.0, math.log(2), 5)
         for seed, (channel, state) in enumerate(probe_systems(12)):
