@@ -132,32 +132,39 @@ def _penalty_value_and_grad(theta, w, q, v_size, u_size, mu, r_d):
     Each information term is E_P[log ratio of its own marginals] of the
     joint P[s,v,u,y] = q P(v|s) P(u|v,s) sum_x P(x|u,v,s) W(y|x,s), and
     that log-ratio table is its gradient in P: the additive constants
-    cancel because P sums to 1 for every theta. The table is chained back
-    to the three softmax blocks. Cells with P = 0 get 0; every path from
-    such a cell to theta passes through a zero factor.
+    cancel because P sums to 1 for every theta. The marginals on (s,v,u)
+    and (s,v) are the policy's own factors, since every effective kernel
+    row sums to 1. The table is chained back to the three softmax blocks.
+    Cells with P = 0 get 0; every path from such a cell to theta passes
+    through a zero factor.
     """
-    n_s, n_x, _ = w.shape
+    n_s, n_x, n_y = w.shape
     pv, pu, px = _unpack(theta, n_s, v_size, u_size, n_x)
-    wg = np.einsum("uvsx,sxy->svuy", px, w)
-    q_pv_pu = np.einsum("s,sv,vsu->svu", q, pv, pu)
+    pu_s = pu.transpose(1, 0, 2)  # [s,v,u]
+    # the effective kernel wg[s,v,u,y]: one (v,u)-by-x times x-by-y product per state
+    wg = (px.transpose(2, 1, 0, 3).reshape(n_s, v_size * u_size, n_x) @ w).reshape(n_s, v_size, u_size, n_y)
+    q_pv = q[:, None] * pv
+    q_pv_pu = q_pv[..., None] * pu_s
     p = q_pv_pu[..., None] * wg
-    live = p > 0
-
-    def log_marginal(axes):
-        return np.log(p.sum(axis=axes, keepdims=True))
+    p_vuy = p.sum(axis=0)
+    p_vy = p_vuy.sum(axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_sv, l_vy = log_marginal((2, 3)), log_marginal((0, 2))
-        # I(U;Y|V) - I(U;S|V): the log P(v) and log P(v,u) terms cancel
-        rate_table = np.where(live, log_marginal(0) - l_vy - log_marginal(3) + l_sv, 0.0)
-        # I(V;S) - I(V;Y): the log P(v) terms cancel
-        cost_table = np.where(live, l_sv - log_marginal((1, 2, 3)) - l_vy + log_marginal((0, 1, 2)), 0.0)
-    rate, cost = float((p * rate_table).sum()), float((p * cost_table).sum())
+        l_vy = np.log(p_vy)
+        # I(U;Y|V) - I(U;S|V): log P(v,u,y) - log P(v,y) - log P(u|v,s)
+        rate_table = np.log(p_vuy) - l_vy[:, None] - np.log(pu_s)[..., None]
+        # I(V;S) - I(V;Y): log P(v|s) - log P(v,y) + log P(y), the same for every u
+        cost_table = (np.log(pv)[..., None] - l_vy + np.log(p_vy.sum(axis=0)))[:, :, None]
+    live = p > 0
+    rate_table, cost_table = np.where(live, rate_table, 0.0), np.where(live, cost_table, 0.0)
+    rate, cost = float(p.ravel() @ rate_table.ravel()), float(p.ravel() @ cost_table.ravel())
     dp = mu * cost_table - rate_table if cost > r_d else -rate_table
 
-    d_pv = np.einsum("svuy,s,vsu,svuy->sv", dp, q, pu, wg)
-    d_pu = np.einsum("svuy,s,sv,svuy->vsu", dp, q, pv, wg)
-    d_px = np.einsum("svuy,svu,sxy->uvsx", dp, q_pv_pu, w)
+    dp_wg = (dp * wg).sum(axis=3)
+    d_pv = (dp_wg * pu_s).sum(axis=2) * q[:, None]
+    d_pu = (dp_wg * q_pv[..., None]).transpose(1, 0, 2)
+    d_px = (dp * q_pv_pu[..., None]).reshape(n_s, v_size * u_size, n_y) @ w.transpose(0, 2, 1)
+    d_px = d_px.reshape(n_s, v_size, u_size, n_x).transpose(2, 1, 0, 3)
     grad = np.concatenate([
         (pr * (d - (pr * d).sum(axis=-1, keepdims=True))).ravel()
         for pr, d in ((pv, d_pv), (pu, d_pu), (px, d_px))
