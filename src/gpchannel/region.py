@@ -223,8 +223,9 @@ def minimize(fun, x0, *, args=()) -> MinimizeResult:
             d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
             root = math.sqrt(max(d1 * d1 - ga * gb, 0.0))
             den = gb - ga + 2.0 * root
-            t = b - (b - a) * (gb + root - d1) / den if den else 0.5 * (a + b)
-            t = min(max(t, a + 0.1 * (b - a)), b - 0.1 * (b - a))
+            t = b - (b - a) * (gb + root - d1) / den if den else math.nan
+            # without a cubic minimiser (a NaN), bisect the bracket
+            t = min(max(t, a + 0.1 * (b - a)), b - 0.1 * (b - a)) if t == t else 0.5 * (a + b)
         else:
             break
         s, y = t * d, g_t - g
