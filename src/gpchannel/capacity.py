@@ -44,6 +44,10 @@ ITERATIONS = 200  # the most entropic steps a start row of a GP optimizer solve 
 # a start row retires after an accepted step that gains at most STOP_TOL
 # times max(1, |objective|) and moves no component weight by more than STOP_TOL
 STOP_TOL = 1e-13
+# with one state law a start also retires once its concavity bound is
+# PRUNE_TOL below the best value of a start whose own bound fell PRUNE_TOL
+# below the leading value
+PRUNE_TOL = 1e-9
 MIN_HORIZON = 4  # the shortest slot table cesaro_capacity accepts
 # Blahut-Arimoto stops once its duality gap max_x D - sum_x r D is at most
 # _BA_GAP nats, or after _BA_MAX_ITER extrapolation cycles
@@ -218,14 +222,15 @@ def _relabelling_classes(u_size: int, n_states: int, n_inputs: int) -> np.ndarra
     return rows[picks]
 
 
-def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
-    """Margin of the best row over the best row with a different effective policy.
+def _rival_value(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
+    """Best value of a row whose effective policy differs from row best's,
+    -inf when every row has best's policy.
 
     A row's effective policy is the set of its used rows s -> x, each cut
     to the states that pick it with probability above _USED_MASS. It is
     blind to relabelling U and to the input a row names for a state that
     never picks it, which leave the objective unchanged, and to how often
-    a row repeats. 0.0 when every row has the winner's policy.
+    a row repeats.
     """
     b, n_states, u_size = v.shape
     used = v > _USED_MASS
@@ -235,7 +240,18 @@ def _top_two_gap(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> fl
     live = used.any(axis=1)
     policies[np.nonzero(live)[0], ids[live]] = True
     rivals = obj[(policies != policies[best]).any(axis=1)]
-    return float(obj.max() - rivals.max()) if rivals.size else 0.0
+    return float(rivals.max()) if rivals.size else -math.inf
+
+
+def _winner(obj: np.ndarray, v: np.ndarray, g: np.ndarray) -> int:
+    """Row of the best value; within 1e-12 of it, the lexicographically
+    smallest flattened (g, v rounded to 9 digits)."""
+    order = np.argsort(-obj, kind="stable")
+    near = order[np.abs(obj[order] - obj[order[0]]) <= 1e-12]
+    if near.size == 1:
+        return int(near[0])
+    keys = [(tuple(g[i].ravel()), tuple(np.round(v[i].ravel(), 9))) for i in near]
+    return int(near[min(range(near.size), key=lambda j: keys[j])])
 
 
 def optimize_gp_policy(
@@ -271,9 +287,14 @@ def optimize_gp_policy(
     reached. A row retires, its best value and v fixed, after an accepted
     step that gains at most STOP_TOL max(1, |weighted objective|) and
     moves no weight by more than STOP_TOL; it never takes more than
-    ITERATIONS steps. diagnostics["iterations"] is the longest row's step
-    count and diagnostics["rows_at_cap"] the rows that ran ITERATIONS
-    steps without retiring.
+    ITERATIONS steps. With one state law a row also retires once its
+    concavity bound shows it can be neither the winner, nor within the
+    winner's 1e-12 tie window, nor the runner-up of top_two_gap (see
+    _ascend); should a retired row still be able to reach that runner-up
+    at the end, the search runs again without the bound.
+    diagnostics["iterations"] is the longest row's step count,
+    diagnostics["rows_at_cap"] the rows that ran ITERATIONS steps
+    without retiring and diagnostics["pruned"] the rows the bound retired.
     """
     states = np.asarray(states, dtype=np.float64)
     n_states = states.shape[1]
@@ -313,23 +334,75 @@ def optimize_gp_policy(
     b = g_rep.shape[0]
 
     wg = _kernels_by_state(channels, g_rep)
+    for prune in (len(states) == 1, False):
+        obj, v, ran, at_cap, reach = _ascend(v0, states, wg, prune)
+        best = _winner(obj, v, g_rep)
+        pruned = reach > -np.inf
+        # the rival is read from the rows the bound left running; should a
+        # retired row still reach it, the gap could move, so search again
+        rival = _rival_value(np.where(pruned, -np.inf, obj), v, g_rep, best)
+        if not pruned.any() or reach.max() < rival - PRUNE_TOL:
+            break
+    diagnostics = {
+        "u_size": u_size,
+        "restarts": restarts,
+        "iterations": int(ran.max()),
+        "rows_at_cap": at_cap,
+        "pruned": int(pruned.sum()),
+        "batch": b,
+        "top_two_gap": float(obj.max() - rival) if rival > -math.inf else 0.0,
+        "heuristic_warning": not exhaustive,
+    }
+    return float(obj[best]), v[best], g_rep[best], diagnostics
+
+
+def _ascend(v, states, wg, prune):
+    """Entropic ascent of the start rows v (B,S,U) on the kernels wg; the
+    steps, weights and retirement are optimize_gp_policy's.
+
+    prune (one state law only) retires a start on its concavity bound: for
+    the weighted objective W at the current weights,
+    B = W(v) + sum_s q(s) (max_{u: v(u|s)>0} G(s,u) - sum_u v(u|s) G(s,u)),
+    G the ascent direction (the gradient over q(s)). W is concave in v and
+    at least the exact objective, and a zero entry of v stays zero, so
+    nothing the start can still reach exceeds max(B, its best value). A
+    start is beaten once that falls PRUNE_TOL below the lead (the best
+    value reached); it retires once it falls PRUNE_TOL below the best value
+    a beaten start has reached.
+
+    Returns, per start row, the best exact objective, the v that reached
+    it and the steps taken; the count of rows that ran ITERATIONS steps
+    without retiring; and, per start row, the bound it retired on (-inf
+    unless the bound retired it).
+    """
+    b = v.shape[0]
+    pairs = wg.shape[2] * len(states)
     rho = states.max(axis=0)
     weights = states / np.where(rho > 0, rho, 1.0)
-    lam = np.full((b, len(channels), len(states)), 1.0 / (len(channels) * len(states)))
-    v = v0
+    lam = np.full((b, wg.shape[2], len(states)), 1.0 / pairs)
     step = np.ones(b)
     terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
+    old = _weighted(terms, lam)
+    lead = ref = -np.inf
     # working row i holds start row rows[i]; a retired row stays, masked,
     # until the live rows fall to half the working rows, then all are gathered
     rows, live = np.arange(b), np.ones(b, dtype=bool)
-    obj, v_out, ran = np.empty(b), np.empty_like(v0), np.full(b, ITERATIONS)
+    obj, v_out, ran = np.empty(b), np.empty_like(v), np.full(b, ITERATIONS)
+    reach = np.full(b, -np.inf)
     for it in range(1, ITERATIONS + 1):
-        x = np.where(v > 0, step[:, None, None] * _gradient(weights, wg, lam, *terms[2:]), -np.inf)
-        cand = v * np.exp(x - x.max(axis=2, keepdims=True))
+        if pairs > 1:
+            old = _weighted(terms, lam)
+        grad = _gradient(weights, wg, lam, *terms[2:])
+        x = np.where(v > 0, step[:, None, None] * grad, -np.inf)
+        top = x.max(axis=2, keepdims=True)
+        if prune:
+            gain = (top[:, :, 0] / step[:, None] - (v * grad).sum(axis=2)) @ states[0]
+            bound, v_at = np.maximum(old + gain, best_obj), v
+        cand = v * np.exp(x - top)
         cand /= cand.sum(axis=2, keepdims=True)
         cterms = _objective_terms(cand, states, wg)
-        new, old = _weighted(cterms, lam), _weighted(terms, lam)
+        new = _weighted(cterms, lam)
         accept = new >= old - 1e-15
         if accept.all():
             v, terms, step = cand, cterms, np.minimum(step * 1.1, 2.0)
@@ -340,12 +413,29 @@ def optimize_gp_policy(
         better = terms[0] > best_obj
         best_obj = np.where(better, terms[0], best_obj)
         best_v = np.where(better[:, None, None], v, best_v)
-        i1, lam_prev = terms[1], lam
-        lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
-        lam /= lam.sum(axis=(1, 2), keepdims=True)
         done = live & accept & (new - old <= STOP_TOL * np.maximum(1.0, np.abs(new)))
-        if done.any():
-            done &= np.abs(lam - lam_prev).max(axis=(1, 2)) <= STOP_TOL
+        if pairs > 1:
+            # with one pair lam stays 1 and W is the accepted value
+            i1, lam_prev = terms[1], lam
+            lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
+            lam /= lam.sum(axis=(1, 2), keepdims=True)
+            if done.any():
+                done &= np.abs(lam - lam_prev).max(axis=(1, 2)) <= STOP_TOL
+        else:
+            old = np.where(accept, new, old)
+        if prune:
+            lead = max(lead, best_obj.max())
+            beaten = live & (bound < lead - PRUNE_TOL)
+            if beaten.any():
+                ref = max(ref, best_obj[beaten].max())
+                cut = live & ~done & (bound < ref - PRUNE_TOL)
+                if cut.any():
+                    # an entry below the log floor reads a floored gradient
+                    # and so bounds nothing
+                    at = np.flatnonzero(cut)
+                    cut[at] = ~((v_at[at] > 0) & (v_at[at] < _LOG_FLOOR)).any(axis=(1, 2))
+                reach[rows[cut]] = bound[cut]
+                done |= cut
         if not done.any():
             continue
         obj[rows[done]], v_out[rows[done]], ran[rows[done]] = best_obj[done], best_v[done], it
@@ -354,32 +444,13 @@ def optimize_gp_policy(
             keep = np.flatnonzero(live)
             if keep.size == 0:
                 break
-            v, step, lam, best_obj, best_v, rows, live = (a[keep] for a in (v, step, lam, best_obj, best_v, rows, live))
+            v, step, lam, old, best_obj, best_v, rows, live = (
+                a[keep] for a in (v, step, lam, old, best_obj, best_v, rows, live)
+            )
             terms = tuple(t[keep] for t in terms)
             wg = wg.take(keep, axis=1)
     obj[rows[live]], v_out[rows[live]] = best_obj[live], best_v[live]
-
-    v = v_out
-    order = np.argsort(-obj, kind="stable")
-    best = order[0]
-    # deterministic tie-break: lexicographic smallest flattened (g, v)
-    near = order[np.abs(obj[order] - obj[best]) <= 1e-12]
-    if near.size > 1:
-        keys = [
-            (tuple(g_rep[i].ravel()), tuple(np.round(v[i].ravel(), 9)))
-            for i in near
-        ]
-        best = near[min(range(near.size), key=lambda j: keys[j])]
-    diagnostics = {
-        "u_size": u_size,
-        "restarts": restarts,
-        "iterations": int(ran.max()),
-        "rows_at_cap": int(live.sum()),
-        "batch": b,
-        "top_two_gap": _top_two_gap(obj, v, g_rep, best),
-        "heuristic_warning": not exhaustive,
-    }
-    return float(obj[best]), v[best], g_rep[best], diagnostics
+    return obj, v_out, ran, int(live.sum()), reach
 
 
 def _averaged_channel_candidate(states, channels, u_size):

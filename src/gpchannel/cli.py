@@ -233,6 +233,7 @@ def simulate(spec_path, out_dir, seed, workers, n, trials, draws, mode):
     lines += [f"event_rate.{k}={v:.6g}" for k, v in rates.items()]
     lines += [
         f"error_within_bound={report.error_within_bound}",
+        f"bound_informative={report.rho_terms['rho_n'] < 1.0}",
         f"converse_mode={report.converse_mode}",
     ]
     _write(out_dir, seed, spec_path, {

@@ -122,6 +122,7 @@ class TestGPCapacity:
         assert res.diagnostics["iterations"] < capacity.ITERATIONS
         assert res.diagnostics["rows_at_cap"] == 0
         monkeypatch.setattr(capacity, "STOP_TOL", -1.0)
+        monkeypatch.setattr(capacity, "PRUNE_TOL", math.inf)
         never = gp_capacity_dm(ch, state, u_size=2, restarts=1)
         assert never.diagnostics["iterations"] == capacity.ITERATIONS
         assert never.diagnostics["rows_at_cap"] == never.diagnostics["batch"]
@@ -291,8 +292,8 @@ class TestMapClasses:
             [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]],
         ])
         obj = np.array([0.5, 0.4, 0.45, 0.2])
-        assert capacity._top_two_gap(obj, v, g, 0) == pytest.approx(0.3)
-        assert capacity._top_two_gap(obj[:3], v[:3], g[:3], 0) == 0.0
+        assert obj.max() - capacity._rival_value(obj, v, g, 0) == pytest.approx(0.3)
+        assert capacity._rival_value(obj[:3], v[:3], g[:3], 0) == -math.inf
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_rejects_restarts_below_one(self, restarts):

@@ -509,6 +509,21 @@ class TestSimulateCommand:
         assert "rho_term.rho_n=" in summary
         assert "error_within_bound=True" in summary
 
+    @pytest.mark.parametrize("extra, n, rho_n, informative", [
+        ({}, "20", "2.05114", "False"),
+        ({"rate_scale": 0.5, "gamma1": 0.05, "gamma2": 0.05}, "200", "0.758992", "True"),
+    ])
+    def test_bound_informative_says_whether_rho_n_is_below_one(self, tmp_path, extra, n, rho_n, informative):
+        # at rho_n >= 1 error_within_bound holds whatever the decoder does;
+        # bound_informative, printed beside it, says whether the bound bites
+        spec = write_spec(tmp_path, {**readme_spec(), **extra})
+        args = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "o"), "--n", n, "--trials", "20", "--draws", "500", "--seed", "3"]
+        assert run(args).exit_code == 0
+        lines = (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert f"rho_term.rho_n={rho_n}" in lines
+        at = lines.index("error_within_bound=True")
+        assert lines[at + 1] == f"bound_informative={informative}"
+
     def test_default_policy_solved_as_capacity_solves_it(self, tmp_path, monkeypatch):
         import gpchannel.cli as cli
 

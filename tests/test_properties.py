@@ -383,12 +383,44 @@ def test_stopped_rows_keep_the_never_stopping_value(k_n, l_n, data):
     channels = [np.array([[data.draw(pmf(2)) for _ in range(2)] for _ in range(2)]) for _ in range(k_n)]
     value, v, g, diag = optimize_gp_policy(states, channels, 3, restarts=1)
     assert diag["iterations"] <= capacity.ITERATIONS
-    with mock.patch.object(capacity, "STOP_TOL", -1.0):
+    with mock.patch.object(capacity, "STOP_TOL", -1.0), mock.patch.object(capacity, "PRUNE_TOL", math.inf):
         never = optimize_gp_policy(states, channels, 3, restarts=1)
     assert never[3]["rows_at_cap"] == never[3]["batch"]
     assert value >= never[0] - 1e-9
     rescored = _objective_terms(v[None], states, _kernels_by_state(channels, g[None]))[0][0]
     assert rescored.tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("k_n, l_n", [(1, 1), (2, 1), (1, 2)])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_pruned_starts_change_no_result_bit(k_n, l_n, data):
+    # with one state law the concavity bound retires a start only where it
+    # can be neither the winner, nor tied with it, nor the runner-up the
+    # top-two gap reads, so the search runs once and returns the value, v,
+    # g and gap of the search that prunes nothing; two state laws prune
+    # nothing
+    states = np.array([data.draw(pmf(2)) for _ in range(l_n)])
+    n_y = data.draw(st.integers(2, 3))
+    channels = [np.array([[data.draw(pmf(n_y)) for _ in range(2)] for _ in range(2)]) for _ in range(k_n)]
+    seed = data.draw(st.integers(0, 2**16))
+    passes, ascend = [], capacity._ascend
+
+    def counted(v, states, wg, prune):
+        passes.append(prune)
+        return ascend(v, states, wg, prune)
+
+    with mock.patch.object(capacity, "_ascend", counted):
+        value, v, g, diag = optimize_gp_policy(states, channels, 3, restarts=2, seed=seed)
+    assert passes == [l_n == 1]
+    with mock.patch.object(capacity, "PRUNE_TOL", math.inf):
+        full = optimize_gp_policy(states, channels, 3, restarts=2, seed=seed)
+    assert full[3]["pruned"] == 0
+    if l_n > 1:
+        assert diag["pruned"] == 0
+    assert np.float64(value).tobytes() == np.float64(full[0]).tobytes()
+    assert v.tobytes() == full[1].tobytes() and g.tobytes() == full[2].tobytes()
+    assert np.float64(diag["top_two_gap"]).tobytes() == np.float64(full[3]["top_two_gap"]).tobytes()
 
 
 @settings(max_examples=200)
