@@ -204,7 +204,10 @@ def _gradient(weights, wg, lam, i2, dens, log_pu, log_v):
 
 
 def _weighted(terms, lam) -> np.ndarray:
-    """sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row."""
+    """sum_{k,l} lam_kl I(U_l;Y_kl) - max_l I(U_l;S_l) per batch row; with
+    one component pair lam is 1 and this is the exact objective."""
+    if lam.shape[1:] == (1, 1):
+        return terms[0]
     return (lam * terms[1]).sum(axis=(1, 2)) - terms[2].max(axis=1)
 
 
@@ -383,7 +386,6 @@ def _ascend(v, states, wg, prune):
     step = np.ones(b)
     terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
-    old = _weighted(terms, lam)
     lead = ref = -np.inf
     # working row i holds start row rows[i]; a retired row stays, masked,
     # until the live rows fall to half the working rows, then all are gathered
@@ -391,8 +393,7 @@ def _ascend(v, states, wg, prune):
     obj, v_out, ran = np.empty(b), np.empty_like(v), np.full(b, ITERATIONS)
     reach = np.full(b, -np.inf)
     for it in range(1, ITERATIONS + 1):
-        if pairs > 1:
-            old = _weighted(terms, lam)
+        old = _weighted(terms, lam)
         grad = _gradient(weights, wg, lam, *terms[2:])
         x = np.where(v > 0, step[:, None, None] * grad, -np.inf)
         top = x.max(axis=2, keepdims=True)
@@ -414,15 +415,12 @@ def _ascend(v, states, wg, prune):
         best_obj = np.where(better, terms[0], best_obj)
         best_v = np.where(better[:, None, None], v, best_v)
         done = live & accept & (new - old <= STOP_TOL * np.maximum(1.0, np.abs(new)))
-        if pairs > 1:
-            # with one pair lam stays 1 and W is the accepted value
+        if pairs > 1:  # one pair's lam stays 1
             i1, lam_prev = terms[1], lam
             lam = lam * np.exp(-_ETA * (i1 - i1.min(axis=(1, 2), keepdims=True)))
             lam /= lam.sum(axis=(1, 2), keepdims=True)
             if done.any():
                 done &= np.abs(lam - lam_prev).max(axis=(1, 2)) <= STOP_TOL
-        else:
-            old = np.where(accept, new, old)
         if prune:
             lead = max(lead, best_obj.max())
             beaten = live & (bound < lead - PRUNE_TOL)
@@ -444,9 +442,7 @@ def _ascend(v, states, wg, prune):
             keep = np.flatnonzero(live)
             if keep.size == 0:
                 break
-            v, step, lam, old, best_obj, best_v, rows, live = (
-                a[keep] for a in (v, step, lam, old, best_obj, best_v, rows, live)
-            )
+            v, step, lam, best_obj, best_v, rows, live = (a[keep] for a in (v, step, lam, best_obj, best_v, rows, live))
             terms = tuple(t[keep] for t in terms)
             wg = wg.take(keep, axis=1)
     obj[rows[live]], v_out[rows[live]] = best_obj[live], best_v[live]
