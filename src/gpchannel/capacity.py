@@ -395,11 +395,14 @@ def _ascend(v, states, wg, prune):
     for it in range(1, ITERATIONS + 1):
         old = _weighted(terms, lam)
         grad = _gradient(weights, wg, lam, *terms[2:])
+        if prune:
+            mean = (v * grad).sum(axis=2)
         x = np.where(v > 0, step[:, None, None] * grad, -np.inf)
+        del grad  # the candidate's evaluation below is the solve's memory peak
         top = x.max(axis=2, keepdims=True)
         if prune:
-            gain = (top[:, :, 0] / step[:, None] - (v * grad).sum(axis=2)) @ states[0]
-            bound, v_at = np.maximum(old + gain, best_obj), v
+            bound = np.maximum(old + (top[:, :, 0] / step[:, None] - mean) @ states[0], best_obj)
+            v_at = v
         cand = v * np.exp(x - top)
         cand /= cand.sum(axis=2, keepdims=True)
         cterms = _objective_terms(cand, states, wg)
