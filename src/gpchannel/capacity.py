@@ -14,7 +14,10 @@ is the closed-form alternating update v(u|s) ~ exp sum_y W_g(y|u,s) log
 P(u|y) (Dupuis-Yu-Willems, 2004). A min over channel components stays
 concave and is ascended through weights that move toward the worst
 component (Sion's minimax); several state components make the objective
-nonconcave, and only the Dirichlet starts guard that case.
+nonconcave, and only the Dirichlet starts guard that case. With one state
+law, concavity also caps what a start can still reach (the Frank-Wolfe
+bound; Jaggi, ICML 2013), and a start whose cap shows it can neither win
+nor be the runner-up retires early.
 """
 
 from __future__ import annotations
