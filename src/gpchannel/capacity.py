@@ -16,8 +16,8 @@ concave and is ascended through weights that move toward the worst
 component (Sion's minimax); several state components make the objective
 nonconcave, and only the Dirichlet starts guard that case. With one state
 law, concavity also caps what a start can still reach (the Frank-Wolfe
-bound; Jaggi, ICML 2013), and a start whose cap shows it can neither win
-nor be the runner-up retires early.
+bound; Jaggi, ICML 2013), and a start whose cap shows it cannot win
+retires early.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ _HEURISTIC_MAPS = 256
 # the most (start row, s, u, component pair, y) cells a GP search's kernels
 # may hold: 2^24 float64 cells take 128 MiB per array
 MAX_CELLS = 2**24
-_USED_MASS = 1e-6
 _ETA = 50.0  # component-weight step per nat of I(U;Y) above the worst component
 # GP optimizer starts per relabelling class (per sampled map in heuristic
 # mode): the uniform law first, then Dirichlet draws
@@ -48,8 +47,7 @@ ITERATIONS = 200  # the most entropic steps a start row of a GP optimizer solve 
 # times max(1, |objective|) and moves no component weight by more than STOP_TOL
 STOP_TOL = 1e-13
 # with one state law a start also retires once its concavity bound is
-# PRUNE_TOL below the best value of a start whose own bound fell PRUNE_TOL
-# below the leading value
+# PRUNE_TOL below the best value any start has reached
 PRUNE_TOL = 1e-9
 MIN_HORIZON = 4  # the shortest slot table cesaro_capacity accepts
 # Blahut-Arimoto stops once its duality gap max_x D - sum_x r D is at most
@@ -228,27 +226,6 @@ def _relabelling_classes(u_size: int, n_states: int, n_inputs: int) -> np.ndarra
     return rows[picks]
 
 
-def _rival_value(obj: np.ndarray, v: np.ndarray, g: np.ndarray, best: int) -> float:
-    """Best value of a row whose effective policy differs from row best's,
-    -inf when every row has best's policy.
-
-    A row's effective policy is the set of its used rows s -> x, each cut
-    to the states that pick it with probability above _USED_MASS. It is
-    blind to relabelling U and to the input a row names for a state that
-    never picks it, which leave the objective unchanged, and to how often
-    a row repeats.
-    """
-    b, n_states, u_size = v.shape
-    used = v > _USED_MASS
-    cut = np.where(used, g.transpose(0, 2, 1), -1).transpose(0, 2, 1).reshape(b * u_size, n_states)
-    ids = np.unique(cut, axis=0, return_inverse=True)[1].reshape(b, u_size)
-    policies = np.zeros((b, ids.max() + 1), dtype=bool)
-    live = used.any(axis=1)
-    policies[np.nonzero(live)[0], ids[live]] = True
-    rivals = obj[(policies != policies[best]).any(axis=1)]
-    return float(rivals.max()) if rivals.size else -math.inf
-
-
 def _winner(obj: np.ndarray, v: np.ndarray, g: np.ndarray) -> int:
     """Row of the best value; within 1e-12 of it, the lexicographically
     smallest flattened (g, v rounded to 9 digits)."""
@@ -294,10 +271,8 @@ def optimize_gp_policy(
     step that gains at most STOP_TOL max(1, |weighted objective|) and
     moves no weight by more than STOP_TOL; it never takes more than
     ITERATIONS steps. With one state law a row also retires once its
-    concavity bound shows it can be neither the winner, nor within the
-    winner's 1e-12 tie window, nor the runner-up of top_two_gap (see
-    _ascend); should a retired row still be able to reach that runner-up
-    at the end, the search runs again without the bound.
+    concavity bound shows it can be neither the winner nor within the
+    winner's 1e-12 tie window (see _ascend).
     diagnostics["iterations"] is the longest row's step count,
     diagnostics["rows_at_cap"] the rows that ran ITERATIONS steps
     without retiring and diagnostics["pruned"] the rows the bound retired.
@@ -337,51 +312,40 @@ def optimize_gp_policy(
     cand_v, cand_g = _averaged_channel_candidate(states, channels, u_size)
     g_rep = np.concatenate([g_rep, cand_g[None]], axis=0)
     v0 = np.concatenate([v0, cand_v[None]], axis=0)
-    b = g_rep.shape[0]
 
-    wg = _kernels_by_state(channels, g_rep)
-    for prune in (len(states) == 1, False):
-        obj, v, ran, at_cap, reach = _ascend(v0, states, wg, prune)
-        best = _winner(obj, v, g_rep)
-        pruned = reach > -np.inf
-        # the rival is read from the rows the bound left running; should a
-        # retired row still reach it, the gap could move, so search again
-        rival = _rival_value(np.where(pruned, -np.inf, obj), v, g_rep, best)
-        if not pruned.any() or reach.max() < rival - PRUNE_TOL:
-            break
+    obj, v, ran, at_cap, pruned = _ascend(v0, states, _kernels_by_state(channels, g_rep))
+    best = _winner(obj, v, g_rep)
     diagnostics = {
         "u_size": u_size,
         "restarts": restarts,
         "iterations": int(ran.max()),
         "rows_at_cap": at_cap,
-        "pruned": int(pruned.sum()),
-        "batch": b,
-        "top_two_gap": float(obj.max() - rival) if rival > -math.inf else 0.0,
+        "pruned": pruned,
+        "batch": g_rep.shape[0],
         "heuristic_warning": not exhaustive,
     }
     return float(obj[best]), v[best], g_rep[best], diagnostics
 
 
-def _ascend(v, states, wg, prune):
+def _ascend(v, states, wg):
     """Entropic ascent of the start rows v (B,S,U) on the kernels wg; the
     steps, weights and retirement are optimize_gp_policy's.
 
-    prune (one state law only) retires a start on its concavity bound: for
+    With one state law a start also retires on its concavity bound: for
     the weighted objective W at the current weights,
     B = W(v) + sum_s q(s) (max_{u: v(u|s)>0} G(s,u) - sum_u v(u|s) G(s,u)),
     G the ascent direction (the gradient over q(s)). W is concave in v and
     at least the exact objective, and a zero entry of v stays zero, so
-    nothing the start can still reach exceeds max(B, its best value). A
-    start is beaten once that falls PRUNE_TOL below the lead (the best
-    value reached); it retires once it falls PRUNE_TOL below the best value
-    a beaten start has reached.
+    nothing the start can still reach exceeds max(B, its best value). The
+    start retires once that falls PRUNE_TOL below the lead, the best value
+    any start has reached.
 
     Returns, per start row, the best exact objective, the v that reached
     it and the steps taken; the count of rows that ran ITERATIONS steps
-    without retiring; and, per start row, the bound it retired on (-inf
-    unless the bound retired it).
+    without retiring; and the count of rows the bound retired.
     """
     b = v.shape[0]
+    prune = len(states) == 1
     pairs = wg.shape[2] * len(states)
     rho = states.max(axis=0)
     weights = states / np.where(rho > 0, rho, 1.0)
@@ -389,12 +353,11 @@ def _ascend(v, states, wg, prune):
     step = np.ones(b)
     terms = _objective_terms(v, states, wg)
     best_obj, best_v = terms[0], v
-    lead = ref = -np.inf
+    lead, pruned = -np.inf, 0
     # working row i holds start row rows[i]; a retired row stays, masked,
     # until the live rows fall to half the working rows, then all are gathered
     rows, live = np.arange(b), np.ones(b, dtype=bool)
     obj, v_out, ran = np.empty(b), np.empty_like(v), np.full(b, ITERATIONS)
-    reach = np.full(b, -np.inf)
     for it in range(1, ITERATIONS + 1):
         old = _weighted(terms, lam)
         grad = _gradient(weights, wg, lam, *terms[2:])
@@ -429,16 +392,13 @@ def _ascend(v, states, wg, prune):
                 done &= np.abs(lam - lam_prev).max(axis=(1, 2)) <= STOP_TOL
         if prune:
             lead = max(lead, best_obj.max())
-            beaten = live & (bound < lead - PRUNE_TOL)
-            if beaten.any():
-                ref = max(ref, best_obj[beaten].max())
-                cut = live & ~done & (bound < ref - PRUNE_TOL)
-                if cut.any():
-                    # an entry below the log floor reads a floored gradient
-                    # and so bounds nothing
-                    at = np.flatnonzero(cut)
-                    cut[at] = ~((v_at[at] > 0) & (v_at[at] < _LOG_FLOOR)).any(axis=(1, 2))
-                reach[rows[cut]] = bound[cut]
+            cut = live & ~done & (bound < lead - PRUNE_TOL)
+            if cut.any():
+                # an entry below the log floor reads a floored gradient
+                # and so bounds nothing
+                at = np.flatnonzero(cut)
+                cut[at] = ~((v_at[at] > 0) & (v_at[at] < _LOG_FLOOR)).any(axis=(1, 2))
+                pruned += int(cut.sum())
                 done |= cut
         if not done.any():
             continue
@@ -452,7 +412,7 @@ def _ascend(v, states, wg, prune):
             terms = tuple(t[keep] for t in terms)
             wg = wg.take(keep, axis=1)
     obj[rows[live]], v_out[rows[live]] = best_obj[live], best_v[live]
-    return obj, v_out, ran, int(live.sum()), reach
+    return obj, v_out, ran, int(live.sum()), pruned
 
 
 def _averaged_channel_candidate(states, channels, u_size):
@@ -549,8 +509,8 @@ def cesaro_capacity(constituents: list, slot: np.ndarray, *, solver_kwargs: dict
     n_max = slot.size
     if n_max < MIN_HORIZON:
         raise ValidationError(f"horizon must be at least {MIN_HORIZON}")
-    if slot.min() < 0 or slot.max() >= len(constituents):
-        raise ValidationError(f"slot entries must index the {len(constituents)} constituents")
+    if (slot != np.floor(slot)).any() or slot.min() < 0 or slot.max() >= len(constituents):
+        raise ValidationError(f"slot entries must be integers indexing the {len(constituents)} constituents")
     kw = solver_kwargs or {}
     caps = [gp_capacity_dm(w, q, **kw).value for w, q in constituents]
     partial = sum(np.cumsum(slot == k) * c for k, c in enumerate(caps)) / np.arange(1, n_max + 1)

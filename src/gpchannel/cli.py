@@ -77,9 +77,9 @@ def _capacity_lines(res, kind_line: str) -> list[str]:
     lines = [f"value_nats={res.value:.12g}", kind_line]
     lines += [f"diagnostics.{k}={v}" for k, v in sorted(res.diagnostics.items())]
     lines.append("policy.u_given_s:")
-    lines += [f"  {np.array2string(row, precision=9)}" for row in res.policy.u_given_s]
+    lines += [f"  {np.array2string(row, precision=9, max_line_width=sys.maxsize)}" for row in res.policy.u_given_s]
     lines.append("policy.g:")
-    lines.append(f"  {np.array2string(res.policy.x_map)}")
+    lines += [f"  {np.array2string(row, max_line_width=sys.maxsize)}" for row in res.policy.x_map]
     return lines
 
 

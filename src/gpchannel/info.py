@@ -126,6 +126,8 @@ def spectral_rate_estimate(samples: SpectrumSamples, mode: str, delta: float = D
     """
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     count = samples.count
     if count < 1.0 / delta:
         raise SampleBudgetError(f"need at least {math.ceil(1/delta)} samples for delta={delta}")

@@ -284,8 +284,8 @@ def region_frontier(
     rd_grid = np.asarray(rd_grid, dtype=np.float64)
     if rd_grid.size == 0:
         raise ValidationError("rd_grid holds no description-rate budget")
-    if not (rd_grid >= 0).all():
-        raise ValidationError("rd_grid: description-rate budgets must be non-negative numbers")
+    if not (np.isfinite(rd_grid) & (rd_grid >= 0)).all():
+        raise ValidationError("rd_grid: description-rate budgets must be finite non-negative numbers")
     rd_grid = np.sort(rd_grid)
     # the penalty solve's (s, v, u, x or y) tables, under the GP search's cap
     cells = n_s * v_size * u_size * max(n_x, channel.n_outputs)

@@ -252,49 +252,6 @@ class TestMapClasses:
         assert several[3]["batch"] == 4 * math.comb(4 + 4 - 1, 4) + 1
         assert several[0] >= one[0] - 1e-12
 
-    def test_top_two_gap_is_to_best_other_policy(self, monkeypatch):
-        # per-map reference: each of the 64 maps solved alone (the
-        # averaged-channel start repeats the map's uniform start); a policy
-        # is the set of used rows, each cut to the states that pick it
-        states, channels = self._problems()[0]
-        value, _, _, diag = optimize_gp_policy(states, channels, 3, restarts=1)
-        per_policy, classes_of = {}, {}
-        for g in full_product_maps(3, 2, 2):
-            monkeypatch.setattr(capacity, "_relabelling_classes", lambda *_, g=g: g[None])
-            monkeypatch.setattr(capacity, "_averaged_channel_candidate", lambda *_, g=g: (np.full((2, 3), 1 / 3), g))
-            one, v, g_win, _ = optimize_gp_policy(states, channels, 3, restarts=1)
-            policy = frozenset(
-                tuple(int(g_win[u, s]) if v[s, u] > 1e-6 else None for s in range(2))
-                for u in range(3) if (v[:, u] > 1e-6).any()
-            )
-            per_policy[policy] = max(per_policy.get(policy, -np.inf), one)
-            classes_of.setdefault(policy, set()).add(tuple(sorted(map(tuple, g.tolist()))))
-        # some classes differ only in how often a row repeats and share a policy
-        assert any(len(c) > 1 for c in classes_of.values())
-        best, runner_up = sorted(per_policy.values(), reverse=True)[:2]
-        assert value == pytest.approx(best, abs=1e-12)
-        assert best - runner_up > 1e-6
-        assert diag["top_two_gap"] == pytest.approx(best - runner_up, abs=1e-12)
-
-    def test_top_two_gap_ignores_repeats_and_unpicked_inputs(self):
-        # rows s -> x over two states; row (0, 0) and row (0, 1) are picked
-        # only in state 0 by the first three rows, which share one policy
-        g = np.array([
-            [[0, 0], [0, 0], [1, 1]],  # rows A, A, B
-            [[0, 0], [1, 1], [1, 1]],  # rows A, B, B: a row repeats differently
-            [[0, 1], [1, 1], [0, 0]],  # row (0, 1) in place of A: differs where unpicked
-            [[0, 1], [1, 1], [0, 0]],  # state 1 picks row (0, 1): a different policy
-        ])
-        v = np.array([
-            [[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
-            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
-            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
-            [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]],
-        ])
-        obj = np.array([0.5, 0.4, 0.45, 0.2])
-        assert obj.max() - capacity._rival_value(obj, v, g, 0) == pytest.approx(0.3)
-        assert capacity._rival_value(obj[:3], v[:3], g[:3], 0) == -math.inf
-
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_rejects_restarts_below_one(self, restarts):
         states, channels = self._problems()[0]
@@ -447,7 +404,7 @@ class TestCesaro:
         with pytest.raises(ValueError):
             cesaro_capacity([(state_blind_bsc(0.1), uniform_state)], np.zeros(2, int))
 
-    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
     def test_rejects_slot_outside_constituents(self, uniform_state, bad):
         slot = np.array([0, 1, 0, bad])
         with pytest.raises(ValidationError, match="slot"):

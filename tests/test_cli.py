@@ -90,6 +90,21 @@ class TestCapacityCommand:
         lines = (out / "capacity.txt").read_text(encoding="utf-8").splitlines()
         assert "diagnostics.value_clipped=False" in lines
 
+    def test_policy_rows_print_one_per_line(self, tmp_path):
+        # |S| = 2 and the default |U| = |X||S| + 1 = 5: five-entry rows of
+        # u_given_s and the five rows of g, each on one indented line
+        spec = write_spec(tmp_path, system_spec())
+        out = tmp_path / "out"
+        assert run(["capacity", "--spec", str(spec), "--out", str(out), "--restarts", "1"]).exit_code == 0
+        lines = (out / "capacity.txt").read_text(encoding="utf-8").splitlines()
+        at_v, at_g = lines.index("policy.u_given_s:"), lines.index("policy.g:")
+        v_rows, g_rows = lines[at_v + 1:at_g], lines[at_g + 1:]
+        assert len(v_rows) == 2 and len(g_rows) == 5
+        for row in v_rows + g_rows:
+            assert row.startswith("  [") and row.endswith("]") and "[" not in row[3:]
+        assert all(len(row[3:-1].split()) == 5 for row in v_rows)
+        assert all(len(row[3:-1].split()) == 2 for row in g_rows)
+
     def test_stateless_none(self, tmp_path):
         spec = write_spec(
             tmp_path,

@@ -113,6 +113,13 @@ class TestSpectralRateEstimate:
         with pytest.raises(SampleBudgetError):
             spectral_rate_estimate(s, "inf", delta=0.01)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        # delta = 1 read the inf rate above the sup rate; 0 divided by zero
+        s = SpectrumSamples(samples=np.arange(200, dtype=float))
+        with pytest.raises(ValueError, match="delta"):
+            spectral_rate_estimate(s, "inf", delta=delta)
+
     def test_inf_below_sup(self):
         rng = stream(0, 14)
         vals = rng.normal(size=2000)

@@ -397,23 +397,14 @@ def test_stopped_rows_keep_the_never_stopping_value(k_n, l_n, data):
 @given(data=st.data())
 def test_pruned_starts_change_no_result_bit(k_n, l_n, data):
     # with one state law the concavity bound retires a start only where it
-    # can be neither the winner, nor tied with it, nor the runner-up the
-    # top-two gap reads, so the search runs once and returns the value, v,
-    # g and gap of the search that prunes nothing; two state laws prune
-    # nothing
+    # can be neither the winner nor tied with it, so the search returns the
+    # value, v and g of the search that prunes nothing; two state laws
+    # prune nothing
     states = np.array([data.draw(pmf(2)) for _ in range(l_n)])
     n_y = data.draw(st.integers(2, 3))
     channels = [np.array([[data.draw(pmf(n_y)) for _ in range(2)] for _ in range(2)]) for _ in range(k_n)]
     seed = data.draw(st.integers(0, 2**16))
-    passes, ascend = [], capacity._ascend
-
-    def counted(v, states, wg, prune):
-        passes.append(prune)
-        return ascend(v, states, wg, prune)
-
-    with mock.patch.object(capacity, "_ascend", counted):
-        value, v, g, diag = optimize_gp_policy(states, channels, 3, restarts=2, seed=seed)
-    assert passes == [l_n == 1]
+    value, v, g, diag = optimize_gp_policy(states, channels, 3, restarts=2, seed=seed)
     with mock.patch.object(capacity, "PRUNE_TOL", math.inf):
         full = optimize_gp_policy(states, channels, 3, restarts=2, seed=seed)
     assert full[3]["pruned"] == 0
@@ -421,7 +412,6 @@ def test_pruned_starts_change_no_result_bit(k_n, l_n, data):
         assert diag["pruned"] == 0
     assert np.float64(value).tobytes() == np.float64(full[0]).tobytes()
     assert v.tobytes() == full[1].tobytes() and g.tobytes() == full[2].tobytes()
-    assert np.float64(diag["top_two_gap"]).tobytes() == np.float64(full[3]["top_two_gap"]).tobytes()
 
 
 @settings(max_examples=200)

@@ -189,6 +189,8 @@ class TestFrontier:
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[])
         with pytest.raises(ValidationError, match="rd_grid"):
             region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0, math.nan])
+        with pytest.raises(ValidationError, match="rd_grid"):
+            region_frontier(state_flip_bsc(0.1), uniform_state, rd_grid=[0.0, math.inf])
 
     def test_unsorted_grid_reads_as_sorted(self, uniform_state):
         channel = ChannelKernel(np.stack([bsc_matrix(0.02), bsc_matrix(0.3)]))
