@@ -11,7 +11,6 @@ from .capacity import (
     interleaved_value,
     j_density_extrema,
     j_structured_slots,
-    no_state_capacity,
     state_at_both_capacity,
 )
 from .coding import (

@@ -80,15 +80,17 @@ def _divergences(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (w * log_ratio).sum(axis=1)
 
 
-def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Capacity (nats) and maximizing input law of a stateless channel.
+def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Capacity (nats), maximizing input law r and max_x D at r of a
+    stateless channel.
 
     Each cycle takes two Blahut-Arimoto updates, extrapolates the log
     law along them with step min(-|r|/|s|, -1) and applies one more
     update (SQUAREM, Varadhan-Roland, Scand. J. Statist. 35(2), 2008); it
     keeps the cycle only if sum_x r D does not fall, and otherwise the
-    two plain updates. It stops on a duality gap of at most _BA_GAP, so
-    max_x D bounds the returned value from above within _BA_GAP.
+    two plain updates. It stops on a duality gap max_x D - sum_x r D of
+    at most _BA_GAP or after _BA_MAX_ITER cycles; either way max_x D
+    bounds the capacity from above (Blahut, IEEE Trans. IT 18(4), 1972).
     """
     w = np.asarray(p_y_x, dtype=np.float64)
     r = np.full(w.shape[0], 1.0 / w.shape[0])
@@ -113,7 +115,7 @@ def blahut_arimoto(p_y_x: np.ndarray) -> tuple[float, np.ndarray]:
         else:
             r, d = r2, _divergences(w, r2)
     q = r[:, None] * w
-    return max(mutual_information(q), 0.0), r
+    return max(mutual_information(q), 0.0), r, float(d.max())
 
 
 def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult:
@@ -121,30 +123,23 @@ def state_at_both_capacity(channel: ChannelKernel, state: Pmf) -> CapacityResult
 
     The conditional mutual information separates over states when the
     per-state input law is unconstrained, so per-state Blahut-Arimoto
-    ascent is exact.
+    ascent is exact; a one-state channel gives the stateless capacity.
+    diagnostics["upper_bound"], sum_s P(s) max_x D, bounds it from above.
     """
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
     value = bound = 0.0
     rows = []  # u indexes x, chosen per state
     for q_s, w_s in zip(state.probs, channel.w):
-        c, r = blahut_arimoto(w_s)
+        c, r, top = blahut_arimoto(w_s)
         value += float(q_s) * c
-        bound += float(q_s) * float(_divergences(w_s, r).max())
+        bound += float(q_s) * top
         rows.append(r)
     policy = GPPolicy(
         u_given_s=np.stack(rows),
         x_map=np.tile(np.arange(channel.n_inputs, dtype=np.int64)[:, None], (1, channel.n_states)),
     )
     return CapacityResult(value=value, policy=policy, diagnostics={"upper_bound": bound})
-
-
-def no_state_capacity(channel: ChannelKernel) -> CapacityResult:
-    """Capacity of a stateless (|S| = 1) kernel: the one-state case of
-    state_at_both_capacity."""
-    if channel.n_states != 1:
-        raise DimensionError("no_state_capacity expects a stateless kernel")
-    return state_at_both_capacity(channel, Pmf([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def _ascend(v, states, wg):
 def _averaged_channel_candidate(states, channels, u_size):
     """Feasible policy ignoring the state: best input law of the averaged channel."""
     w_avg = sum(np.einsum("s,sxy->xy", q, np.asarray(w)) for w in channels for q in states)
-    _, r = blahut_arimoto(w_avg / (len(channels) * len(states)))
+    _, r, _ = blahut_arimoto(w_avg / (len(channels) * len(states)))
     n_states = states[0].size
     m = min(u_size, channels[0].shape[1])
     v = np.zeros((n_states, u_size))
@@ -440,14 +435,16 @@ def gp_capacity_dm(
     """Capacity with the state known noncausally at the encoder only."""
     if channel.n_states != state.size:
         raise DimensionError("state alphabet mismatch")
-    value, v, g, diag = optimize_gp_policy([state.probs], [channel.w], u_size, restarts=restarts, seed=seed)
-    value = max(value, 0.0)
-    cap = math.log(channel.n_outputs)
-    policy = GPPolicy(u_given_s=v, x_map=g)
-    # I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault
+    return _gp_result(*optimize_gp_policy([state.probs], [channel.w], u_size, restarts=restarts, seed=seed), channel.n_outputs)
+
+
+def _gp_result(value, v, g, diag, n_outputs: int) -> CapacityResult:
+    """An optimize_gp_policy result as a CapacityResult: the value floored
+    at 0 and clipped at log|Y|, flagged in diagnostics["value_clipped"].
+    I(U;Y) <= log|Y|, so a larger optimizer value is rounding or a fault."""
+    value, cap = max(value, 0.0), math.log(n_outputs)
     diag["value_clipped"] = value > cap
-    value = min(value, cap)
-    return CapacityResult(value=value, policy=policy, diagnostics=diag)
+    return CapacityResult(value=min(value, cap), policy=GPPolicy(u_given_s=v, x_map=g), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

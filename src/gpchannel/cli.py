@@ -31,7 +31,6 @@ from .capacity import (
     gp_capacity_dm,
     interleaved_value,
     j_structured_slots,
-    no_state_capacity,
     state_at_both_capacity,
 )
 from .coding import TRIAL_COLUMNS, BudgetError, MemorylessSystem, design_experiment, run_experiment
@@ -135,21 +134,17 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
     tables = {}
     if spec["kind"] == "system":
         side = spec.get("side_information", "encoder")
-        if side == "none":
-            res = no_state_capacity(spec["channel"])
-        elif side == "both":
-            res = state_at_both_capacity(spec["channel"], spec["state"])
-        else:
+        if side == "encoder":
             res = gp_capacity_dm(spec["channel"], spec["state"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
+        else:  # both, or none on a one-state channel: the same Blahut-Arimoto figures
+            res = state_at_both_capacity(spec["channel"], spec["state"])
         lines = _capacity_lines(res, f"side_information={side}")
     elif spec["kind"] == "mixture":
         res = maximize_mixed_lower_bound(spec["mixture"], u_size=spec.get("u_size"), restarts=restarts, seed=seed)
-        lines = _capacity_lines(res, "bound=lower")
+        lines = _capacity_lines(res, f"bound={'lower' if res.diagnostics['lower_bound_only'] else 'capacity'}")
     else:  # j-structured
-        channels, states = spec["channels"], spec["states"]
-        constituents = [(channels["a"], states["a"]), (channels["b"], states["a"]), (channels["c"], states["b"])]
         kw = {"u_size": spec.get("u_size"), "restarts": restarts, "seed": seed}
-        result = cesaro_capacity(constituents, j_structured_slots(spec.get("n_max", 2**16)), solver_kwargs=kw)
+        result = cesaro_capacity(spec["constituents"], j_structured_slots(spec.get("n_max", 2**16)), solver_kwargs=kw)
         lines = [
             f"liminf_estimate_nats={result['liminf_estimate']:.12g}",
             f"analytic_value_nats={interleaved_value(*result['constituents']):.12g}",

@@ -21,6 +21,7 @@ import numpy as np
 from .capacity import (
     RESTARTS,
     CapacityResult,
+    _gp_result,
     _kernels_by_state,
     _objective_terms,
     optimize_gp_policy,
@@ -86,10 +87,9 @@ def maximize_mixed_lower_bound(
     no matching converse is computed for proper mixtures)."""
     _, chans, _, states = mix.support
     chans, states = [ch.w for ch in chans], [q.probs for q in states]
-    value, v, g, diag = optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed)
-    policy = GPPolicy(u_given_s=v, x_map=g)
-    diag["lower_bound_only"] = len(chans) > 1 or len(states) > 1
-    return CapacityResult(value=max(value, 0.0), policy=policy, diagnostics=diag)
+    res = _gp_result(*optimize_gp_policy(states, chans, u_size, restarts=restarts, seed=seed), chans[0].shape[2])
+    res.diagnostics["lower_bound_only"] = len(chans) > 1 or len(states) > 1
+    return res
 
 
 def _component_tables(mix: MixtureSpec, policy: GPPolicy):
@@ -108,22 +108,12 @@ def _component_tables(mix: MixtureSpec, policy: GPPolicy):
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp over axis 0 of a real array, bit for bit what
-    scipy.special.logsumexp(a, axis=0) returns: the max term and its m
-    ties stay out of the shifted sum s, the result is
-    log1p(s/m) + log m + max, and a non-finite result (a column whose
-    max is infinite or NaN, or an overflow) is replaced by the direct
-    log(sum(exp(a)))."""
+    """log sum exp over axis 0 of an array of log-probabilities, shifted
+    by each column's max; an all -inf column gives -inf."""
     top = a.max(axis=0)
-    ties = a == top
-    m = ties.sum(axis=0, dtype=a.dtype)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(ties, -np.inf, a) - top).sum(axis=0)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-        bad = ~np.isfinite(out)
-        out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
-    return out
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=0)) + top
 
 
 def _scores(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:

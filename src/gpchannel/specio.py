@@ -194,13 +194,15 @@ def load_spec(path) -> dict:
     elif kind == "j-structured":
         chans = _object(_require(raw, "channels", "j-structured"), "channels")
         states = _object(_require(raw, "states", "j-structured"), "states")
-        out["channels"] = {k: parse_channel(_require(chans, k, "channels"), f"channels.{k}") for k in "abc"}
-        out["states"] = {k: parse_pmf(_require(states, k, "states"), f"states.{k}") for k in "ab"}
-        # odd slots pair channels a and b with state a, even slots channel c with state b
-        for ck, sk in (("a", "a"), ("b", "a"), ("c", "b")):
-            _check_states(f"states.{sk}", out["states"][sk].size, out["channels"][ck], f"channels.{ck}")
+        chans = {k: parse_channel(_require(chans, k, "channels"), f"channels.{k}") for k in "abc"}
+        states = {k: parse_pmf(_require(states, k, "states"), f"states.{k}") for k in "ab"}
+        # cesaro_capacity's constituents: odd slots pair channels a, b with state a, even slots c with b
+        out["constituents"] = []
+        for ck, sk in ("aa", "ba", "cb"):
+            _check_states(f"states.{sk}", states[sk].size, chans[ck], f"channels.{ck}")
+            out["constituents"].append((chans[ck], states[sk]))
         for ck in "ab":
-            _check_symmetric(out["channels"][ck], f"channels.{ck}")
+            _check_symmetric(chans[ck], f"channels.{ck}")
         if "n_max" in raw:
             n_max = out["n_max"] = _integer(raw, "n_max", MIN_HORIZON)
             if n_max > MAX_HORIZON:

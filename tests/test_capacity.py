@@ -7,13 +7,13 @@ from scipy.special import xlogy
 
 import gpchannel.capacity as capacity
 from gpchannel.capacity import (
+    CapacityResult,
     blahut_arimoto,
     cesaro_capacity,
     gp_capacity_dm,
     interleaved_value,
     j_density_extrema,
     j_structured_slots,
-    no_state_capacity,
     odd_j_mask,
     optimize_gp_policy,
     state_at_both_capacity,
@@ -34,25 +34,44 @@ def sym_bsc_kernel(p0: float, p1: float) -> ChannelKernel:
     return ChannelKernel(np.stack([bsc_matrix(p0), bsc_matrix(p1)]))
 
 
+def stateless(w: np.ndarray) -> CapacityResult:
+    """Blahut-Arimoto figures of the stateless channel w (X,Y): the
+    one-state case of state_at_both_capacity."""
+    return state_at_both_capacity(ChannelKernel(w[None]), Pmf(np.ones(1)))
+
+
 class TestBlahutArimoto:
     @pytest.mark.parametrize("p,expected", [(0.0, math.log(2)), (0.5, 0.0)])
     def test_endpoints(self, p, expected):
-        value, _ = blahut_arimoto(bsc_matrix(p))
+        value, _, _ = blahut_arimoto(bsc_matrix(p))
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_bsc_closed_form(self):
-        value, r = blahut_arimoto(bsc_matrix(0.1))
+        value, r, top = blahut_arimoto(bsc_matrix(0.1))
         assert value == pytest.approx(bin_capacity(0.1), abs=1e-9)
         np.testing.assert_allclose(r, 0.5, atol=1e-6)
+        assert value <= top <= value + capacity._BA_GAP
 
-    def test_no_state_wrapper(self):
-        res = no_state_capacity(ChannelKernel(bsc_matrix(0.1)[None]))
+    def test_one_state_channel(self):
+        res = stateless(bsc_matrix(0.1))
         assert res.value == pytest.approx(bin_capacity(0.1), abs=1e-9)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5])
     def test_upper_bound_bsc_closed_form(self, p):
-        res = no_state_capacity(ChannelKernel(bsc_matrix(p)[None]))
+        res = stateless(bsc_matrix(p))
         assert res.diagnostics["upper_bound"] == pytest.approx(bin_capacity(p), abs=1e-9)
+
+    def test_upper_bound_certifies_a_capped_run(self, monkeypatch):
+        # one SQUAREM cycle leaves this skewed channel's duality gap open;
+        # the bound is still max_x D at the law returned, above the value
+        w = np.array([[0.98, 0.01, 0.01], [0.3, 0.4, 0.3], [0.01, 0.01, 0.98], [0.2, 0.2, 0.6]])
+        monkeypatch.setattr(capacity, "_BA_MAX_ITER", 1)
+        res = stateless(w)
+        r = res.policy.u_given_s[0]
+        bound = res.diagnostics["upper_bound"]
+        assert bound == float(capacity._divergences(w, r).max())
+        assert bound - res.value > capacity._BA_GAP
+        assert bound >= res.value
 
     def test_upper_bound_above_value_on_random_channels(self):
         rng = stream(0, 21)
@@ -62,7 +81,7 @@ class TestBlahutArimoto:
             w[rng.random(w.shape) < 0.2] = 0.0  # zero entries, rows kept non-empty
             w[:, 0] += w.sum(axis=1) == 0
             w /= w.sum(axis=1, keepdims=True)
-            res = no_state_capacity(ChannelKernel(w[None]))
+            res = stateless(w)
             bound = res.diagnostics["upper_bound"]
             assert res.value <= bound + 1e-12
             # informative, not just log|Y|: BA stops within 1e-4 of it here
@@ -156,7 +175,7 @@ class TestGPCapacity:
             q = rng.dirichlet(np.ones(2))
             ch, state = ChannelKernel(w), Pmf(q)
             gp = gp_capacity_dm(ch, state, u_size=3, restarts=4).value
-            averaged, _ = blahut_arimoto(np.einsum("s,sxy->xy", q, w))
+            averaged, _, _ = blahut_arimoto(np.einsum("s,sxy->xy", q, w))
             both = state_at_both_capacity(ch, state).value
             assert gp >= averaged - 1e-6
             assert gp <= both + 1e-6

@@ -117,6 +117,18 @@ class TestCapacityCommand:
         value = float(next(l for l in text.splitlines() if l.startswith("value_nats=")).split("=")[1])
         assert value == pytest.approx(bin_capacity(0.1), abs=1e-6)
 
+    def test_none_and_both_agree_on_a_one_state_channel(self, tmp_path):
+        body = {}
+        for side in ("none", "both"):
+            spec = {"kind": "system", "state_pmf": [1.0], "channel": [[[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]],
+                    "side_information": side}
+            out = tmp_path / side
+            assert run(["capacity", "--spec", str(write_spec(tmp_path, spec, f"{side}.json")), "--out", str(out)]).exit_code == 0
+            body[side] = [l for l in (out / "capacity.txt").read_text(encoding="utf-8").splitlines() if l[0] != "#"]
+        assert body["none"][1] == "side_information=none" and body["both"][1] == "side_information=both"
+        assert body["none"][:1] + body["none"][2:] == body["both"][:1] + body["both"][2:]
+        assert any(l.startswith("diagnostics.upper_bound=") for l in body["none"])
+
     def test_none_rejects_stateful_channel(self, tmp_path):
         spec = write_spec(tmp_path, system_spec(side_information="none"))
         res = run(["capacity", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -128,10 +140,31 @@ class TestCapacityCommand:
         res = run(["capacity", "--spec", str(spec), "--out", str(out), "--restarts", "5"])
         assert res.exit_code == 0
         text = (out / "capacity.txt").read_text(encoding="utf-8")
-        assert "bound=lower" in text
+        assert "bound=lower" in text and "diagnostics.lower_bound_only=True" in text
         value = float(next(l for l in text.splitlines() if l.startswith("value_nats=")).split("=")[1])
         # the worst component dominates the exact mixed objective
         assert 0.0 < value <= bin_capacity(0.25) + 1e-9
+
+    def test_one_component_mixture_is_the_capacity(self, tmp_path):
+        # the README system wrapped as a 1x1 mixture: no lower-bound gap, and
+        # the same figures as the system spec's encoder-side capacity
+        system = readme_spec()
+        del system["policy"]
+        mixture = {
+            "kind": "mixture",
+            "channel_mixture": [{"weight": 1.0, "channel": system["channel"]}],
+            "state_mixture": [{"weight": 1.0, "state_pmf": system["state_pmf"]}],
+        }
+        body = {}
+        for name, spec in (("system", system), ("mixture", mixture)):
+            out = tmp_path / name
+            args = ["capacity", "--spec", str(write_spec(tmp_path, spec, f"{name}.json")), "--out", str(out), "--restarts", "2"]
+            assert run(args).exit_code == 0
+            body[name] = [l for l in (out / "capacity.txt").read_text(encoding="utf-8").splitlines() if l[0] != "#"]
+        assert "bound=capacity" in body["mixture"] and "diagnostics.lower_bound_only=False" in body["mixture"]
+        assert "diagnostics.value_clipped=False" in body["mixture"]
+        body["mixture"].remove("diagnostics.lower_bound_only=False")
+        assert body["mixture"] == [l.replace("side_information=encoder", "bound=capacity") for l in body["system"]]
 
     def test_j_structured_outputs(self, tmp_path):
         spec = write_spec(

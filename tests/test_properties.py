@@ -9,8 +9,8 @@ that share a row of the input map, the retirement of GP starts on
 their concavity bound, the effective channel of an input map, the
 Cesaro running averages over a slot table, the region solver's softmax,
 its penalised objective and its gradient, the one check every
-probability row goes through, and the stateless capacity as the
-one-state case of the state-known-at-both-ends capacity."""
+probability row goes through, and the one-state case of the
+state-known-at-both-ends capacity as Blahut-Arimoto's figures."""
 
 import math
 from unittest import mock
@@ -30,7 +30,6 @@ from gpchannel.capacity import (
     _objective_terms,
     _relabelling_classes,
     blahut_arimoto,
-    no_state_capacity,
     optimize_gp_policy,
     state_at_both_capacity,
 )
@@ -204,23 +203,27 @@ def test_table_draw_equals_draw_of_gathered_rows(case):
     np.testing.assert_array_equal(draw(inverse_cdf(probs[0]), u), draw(inverse_cdf(probs[[0] * u.size]), u))
 
 
+# log-probabilities, as low as the block scores of long spectrum draws
 _log_terms = st.one_of(
-    st.sampled_from([0.0, -1.5, 2.0, 700.0, -math.inf, math.inf]),  # repeats make ties
-    st.floats(-800.0, 800.0),
+    st.sampled_from([0.0, -1.5, -700.0, -math.inf]),  # repeats make ties
+    st.floats(-1e6, 0.0),
     st.just(-math.inf),
 )
 
 
 @settings(max_examples=400)
 @given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(_log_terms, min_size=m, max_size=m), min_size=1, max_size=5)))
-@example([[-math.inf, 2.0, math.inf]])  # one component
-@example([[-math.inf, 1.0], [-math.inf, 1.0], [-math.inf, 1.0]])  # an all -inf column, a 3-way tie
-@example([[math.inf, 800.0], [-math.inf, 800.0]])  # +inf against -inf, a sum past the float range
-def test_mixture_logsumexp_is_scipys_bit_for_bit(rows):
+@example([[-math.inf, -2.0, 0.0]])  # one component
+@example([[-math.inf, -1.0], [-math.inf, -1.0], [-math.inf, -1.0]])  # an all -inf column, a 3-way tie
+@example([[-1e6, -800.0], [-math.inf, -800.0]])  # terms past exp's float range
+def test_mixture_logsumexp_matches_scipy(rows):
     a = np.array(rows, dtype=np.float64)
     got, want = _logsumexp(a), logsumexp(a, axis=0)
     assert got.shape == want.shape == a.shape[1:]
-    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    # the log's absolute error is the sum's relative error, which rules near a 0 result
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
 
 
 _thetas = st.one_of(st.sampled_from([0.0, -1.5, 2.0]), st.floats(-1000.0, 1000.0))  # repeats make ties
@@ -236,7 +239,7 @@ def test_region_softmax_is_scipys_bit_for_bit(rows):
 
 
 @given(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.25]), st.floats(-5.0, 5.0)), min_size=1, max_size=300),
-       st.floats(0.001, 1.0))
+       st.floats(0.001, 1.0, exclude_max=True))
 def test_spectral_rate_is_the_sorted_order_statistic(values, delta):
     assume(len(values) >= 1.0 / delta)
     samples = SpectrumSamples(samples=np.array(values))
@@ -541,16 +544,12 @@ def test_check_rows_rejects_exactly_the_first_bad_row(rows, tol):
 
 
 @given(st.integers(1, 5).flatmap(lambda n_y: st.lists(pmf(n_y), min_size=1, max_size=5)))
-def test_no_state_capacity_is_the_one_state_case_of_state_at_both(rows):
+def test_one_state_capacity_is_blahut_arimotos(rows):
     channel = ChannelKernel(np.array(rows)[None])
-    got = no_state_capacity(channel)
-    want = state_at_both_capacity(channel, Pmf(np.array([1.0])))
-    assert got.value == want.value
-    assert got.diagnostics == want.diagnostics
-    np.testing.assert_array_equal(got.policy.u_given_s, want.policy.u_given_s)
-    np.testing.assert_array_equal(got.policy.x_map, want.policy.x_map)
-    # and both are Blahut-Arimoto's figures, bit for bit
-    value, r = blahut_arimoto(channel.w[0])
+    got = state_at_both_capacity(channel, Pmf(np.array([1.0])))
+    # Blahut-Arimoto's figures, bit for bit, the bound being max_x D at the law returned
+    value, r, _ = blahut_arimoto(channel.w[0])
     assert got.value == value
     assert got.diagnostics["upper_bound"] == float(_divergences(channel.w[0], r).max())
     np.testing.assert_array_equal(got.policy.u_given_s, r[None])
+    np.testing.assert_array_equal(got.policy.x_map, np.arange(channel.n_inputs)[:, None])
