@@ -34,7 +34,7 @@ from .capacity import (
     state_at_both_capacity,
 )
 from .coding import TRIAL_COLUMNS, BudgetError, MemorylessSystem, design_experiment, run_experiment
-from .info import DEFAULT_DELTA, SampleBudgetError, spectral_rate_estimate
+from .info import DEFAULT_DELTA, DELTA_BOUNDS, SampleBudgetError, check_sample_budget, spectral_rate_estimate
 from .mixture import maximize_mixed_lower_bound, mixture_spectrum_demo
 from .prob import ValidationError
 from .region import RESTARTS as REGION_RESTARTS, region_frontier, saturation_knee
@@ -159,7 +159,7 @@ def capacity(spec_path, out_dir, seed, workers, restarts):
 @click.option("--n", default=2000, show_default=True, type=click.IntRange(min=1))
 @click.option("--draws", default=10_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--delta", default=DEFAULT_DELTA, show_default=True,
-              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+              type=click.FloatRange(*DELTA_BOUNDS, min_open=True, max_open=True))
 def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
     """Information-density histogram and spectral quantile summary."""
     spec = load_spec(spec_path)
@@ -167,6 +167,7 @@ def spectrum(spec_path, out_dir, seed, workers, n, draws, delta):
         raise SpecError("spectrum requires a mixture spec (a single system is a 1-component mixture)")
     if "policy" not in spec:
         raise SpecError("spectrum requires a policy in the spec")
+    check_sample_budget(draws, delta)  # before sampling; the estimates recheck the finite count
     samples = mixture_spectrum_demo(spec["mixture"], spec["policy"], n=n, draws=draws, seed=seed)
     inf_est = spectral_rate_estimate(samples, "inf", delta)
     sup_est = spectral_rate_estimate(samples, "sup", delta)

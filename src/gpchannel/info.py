@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DELTA = 0.01
+# the open interval of quantile masses delta: delta = 0 needs infinitely
+# many samples, and delta = 1 reads the inf rate above the sup rate
+DELTA_BOUNDS = (0.0, 1.0)
 
 
 class SampleBudgetError(ValueError):
@@ -75,17 +78,21 @@ def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
 
     A stack of count matrices (..., draws, cells) takes a table of one
     row of cells per matrix, in any shape of that size, and scores each
-    matrix against its own row into (..., draws); each matrix gets the
-    same matrix-vector product it would get alone.
+    matrix against its own row into (..., draws).
+    Each row adds its count-times-log terms in cell order, so its score
+    does not depend on the rows scored with it; a BLAS matrix-vector
+    product rounds a row by its place in the batch.
     A row is -inf when it counts any non-finite cell of its table row,
     so a -inf or undefined entry never mixes with finite ones into NaN.
     """
-    table = np.reshape(log_table, counts.shape[:-2] + counts.shape[-1:] + (1,))
+    table = np.reshape(log_table, counts.shape[:-2] + (1,) + counts.shape[-1:])
     finite = np.isfinite(table)
-    if finite.all():
-        return (counts @ table)[..., 0]
-    out = (counts @ np.where(finite, table, 0.0))[..., 0]
-    out[((counts != 0) & ~np.swapaxes(finite, -1, -2)).any(axis=-1)] = -np.inf
+    table = np.where(finite, table, 0.0)
+    out = counts[..., 0] * table[..., 0]
+    for cell in range(1, counts.shape[-1]):
+        out += counts[..., cell] * table[..., cell]
+    if not finite.all():
+        out[((counts != 0) & ~finite).any(axis=-1)] = -np.inf
     return out
 
 
@@ -93,7 +100,8 @@ def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
 class SpectrumSamples:
     """Normalized block information-density draws.
 
-    samples holds finite values only; draws whose density was infinite
+    samples holds a read-only copy of the finite values the caller
+    passes (never the caller's array); draws whose density was infinite
     are counted in tail_infinite (they occur with probability zero for
     valid joints, so a nonzero counter indicates a bug upstream).
     """
@@ -116,6 +124,13 @@ class SpectrumSamples:
         return self.samples.size
 
 
+def check_sample_budget(count: int, delta: float) -> None:
+    """Refuse fewer than 1/delta samples: below that the quantile at mass
+    delta is not an order statistic of the sample."""
+    if count < 1.0 / delta:
+        raise SampleBudgetError(f"need at least {math.ceil(1/delta)} samples for delta={delta}")
+
+
 def spectral_rate_estimate(samples: SpectrumSamples, mode: str, delta: float = DEFAULT_DELTA) -> float:
     """Finite-sample surrogate of the spectral inf/sup rate.
 
@@ -126,11 +141,11 @@ def spectral_rate_estimate(samples: SpectrumSamples, mode: str, delta: float = D
     """
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    lo, hi = DELTA_BOUNDS
+    if not lo < delta < hi:
+        raise ValueError(f"delta must lie in ({lo:g}, {hi:g}), got {delta}")
     count = samples.count
-    if count < 1.0 / delta:
-        raise SampleBudgetError(f"need at least {math.ceil(1/delta)} samples for delta={delta}")
+    check_sample_budget(count, delta)
     k = math.ceil(delta * count)  # 1-based order statistic
     kth = k - 1 if mode == "inf" else count - k
     return float(np.partition(samples.samples, kth)[kth])

@@ -32,6 +32,8 @@ from .prob import ChannelKernel, DimensionError, GPPolicy, Pmf, ValidationError,
 from .rng import stream
 
 _WEIGHT_TOL = 1e-12
+# trials the spectrum sampler draws and scores at once
+_WINDOW = 2**14
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,16 @@ def _scores(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
     return counts_scores(np.broadcast_to(counts, log_tables.shape[:-1] + counts.shape), log_tables)
 
 
+def _slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Exact integer sum of a over a short axis, one slice at a time
+    (a reduction over a length-2 axis costs more than the adds)."""
+    parts = np.moveaxis(a, axis, 0)
+    out = parts[0].copy()
+    for part in parts[1:]:
+        out += part
+    return out
+
+
 def mixture_spectrum_demo(
     mix: MixtureSpec,
     policy: GPPolicy,
@@ -138,6 +150,14 @@ def mixture_spectrum_demo(
     marginals of the mixed system are mixtures of product laws, so the
     block density does not tensorize and the mixture must enter inside
     the log.
+
+    The sampler draws and scores at most _WINDOW trials at a time: first
+    every pair index, then pair by pair the cell counts of that pair's
+    trials, window by window. Windowed draws read the stream in the same
+    order as whole ones and counts_scores scores a row alike in any
+    batch, so the samples do not depend on _WINDOW. The sampler holds
+    about 20 bytes per draw (a one-byte pair index, the densities and
+    SpectrumSamples' copy of them) plus one window.
     """
     if draws < 1:
         raise ValidationError("draws must be positive")
@@ -148,20 +168,27 @@ def mixture_spectrum_demo(
     rng = stream(seed, 0x5BEC)
     pair_w = np.exp(log_cw[:, None] + log_sw[None, :]).ravel()
     pair_w /= pair_w.sum()
-    which = rng.choice(k_n * l_n, size=draws, p=pair_w)
+    windows = [(lo, min(lo + _WINDOW, draws)) for lo in range(0, draws, _WINDOW)]
+    which = np.empty(draws, dtype=np.min_scalar_type(k_n * l_n - 1))
+    for lo, hi in windows:
+        which[lo:hi] = rng.choice(k_n * l_n, size=hi - lo, p=pair_w)
     densities = np.empty(draws)
     for pair in range(k_n * l_n):
-        sel = np.flatnonzero(which == pair)
-        if sel.size == 0:
-            continue
         ki, li = divmod(pair, l_n)
-        counts = rng.multinomial(n, cells[ki, li].ravel(), size=sel.size)
-        blocks = counts.reshape(-1, n_u, n_y)
-        # log of the weighted block laws P(u,y) and P(y) of each pair (k,l)
-        # and P(u) of each l, one stacked score per family
-        log_joint = (_scores(counts, log_uy) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
-        log_pu = _scores(blocks.sum(axis=2), log_u) + log_sw[:, None]
-        log_py = (_scores(blocks.sum(axis=1), log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
-        densities[sel] = (_logsumexp(log_joint) - _logsumexp(log_pu) - _logsumexp(log_py)) / n
+        for lo, hi in windows:
+            sel = lo + np.flatnonzero(which[lo:hi] == pair)
+            if sel.size == 0:
+                continue
+            counts = rng.multinomial(n, cells[ki, li].ravel(), size=sel.size)
+            blocks = counts.reshape(-1, n_u, n_y)
+            # log of the weighted block laws P(u,y) and P(y) of each pair (k,l)
+            # and P(u) of each l, one stacked score per family
+            log_joint = (_scores(counts, log_uy) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
+            log_pu = _scores(_slice_sum(blocks, 2), log_u) + log_sw[:, None]
+            log_py = (_scores(_slice_sum(blocks, 1), log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
+            densities[sel] = (_logsumexp(log_joint) - _logsumexp(log_pu) - _logsumexp(log_py)) / n
     finite = np.isfinite(densities)
-    return SpectrumSamples(samples=densities[finite], tail_infinite=int((~finite).sum()))
+    tail_infinite = draws - int(np.count_nonzero(finite))
+    if tail_infinite:  # rebinding frees the full array before SpectrumSamples copies
+        densities = densities[finite]
+    return SpectrumSamples(samples=densities, tail_infinite=tail_infinite)

@@ -531,6 +531,19 @@ class TestSpectrumCommand:
         res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--draws", "0"])
         assert res.exit_code == EXIT_VALIDATION
 
+    def test_too_few_draws_refused_before_sampling(self, tmp_path, monkeypatch):
+        import gpchannel.cli as cli
+
+        def must_not_sample(*a, **kw):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(cli, "mixture_spectrum_demo", must_not_sample)
+        spec = write_spec(tmp_path, mixture_spec())
+        res = run(["spectrum", "--spec", str(spec), "--out", str(tmp_path / "o"), "--draws", "50"])
+        assert res.exit_code == EXIT_BUDGET
+        assert res.output == "error: need at least 100 samples for delta=0.01\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("delta", ["0", "1.5"])
     def test_delta_outside_unit_interval(self, tmp_path, delta):
         spec = write_spec(tmp_path, mixture_spec())

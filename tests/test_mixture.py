@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,29 @@ class TestSpectrumDemo:
             errs.append(abs(spectral_rate_estimate(s, "inf") - 0.15))
         inversions = sum(errs[i + 1] > errs[i] for i in range(3))
         assert inversions <= 1
+
+    @pytest.mark.parametrize("state_weights", [(1.0,), (0.3, 0.7)])
+    def test_memory_follows_the_window_not_the_draws(self, state_weights):
+        # the sampler holds the pair indices, the densities and the finite
+        # samples, about 25 B per draw, plus one window; whole-array draws
+        # and scores held about 105 B per draw
+        draws = 2**19
+        mix = MixtureSpec(
+            ((0.4, state_flip_bsc(0.05)), (0.6, state_flip_bsc(0.2))),
+            tuple((w, Pmf(np.array([p, 1.0 - p]))) for w, p in zip(state_weights, (0.5, 0.3))),
+        )
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            samples = mixture_spectrum_demo(mix, identity_policy(), n=2000, draws=draws, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert samples.count == draws
+        assert peak <= 32 * draws + 8 * 2**20
 
     def test_rejects_zero_draws(self, uniform_state):
         with pytest.raises(ValueError):

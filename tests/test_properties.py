@@ -2,7 +2,7 @@
 counts-times-log-table block score, the explicit decoder's type-count
 scores and the E2 test built on it, the inverse-CDF sampler and the
 table-driven draws of the trial path, the mixture spectrum's
-log-sum-exp, the spectral order statistic, the GP optimizer's
+log-sum-exp and its windowed sampler, the spectral order statistic, the GP optimizer's
 enumeration of input maps up to relabelling, its objective and gradient
 over batch rows and component pairs, the merging of auxiliary symbols
 that share a row of the input map, the retirement of GP starts on
@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
-from gpchannel import kernels
+from gpchannel import kernels, mixture
 import gpchannel.capacity as capacity
 from gpchannel.capacity import (
     _divergences,
@@ -34,10 +34,11 @@ from gpchannel.capacity import (
     state_at_both_capacity,
 )
 from gpchannel.coding import MemorylessSystem, _atypical, draw, inverse_cdf
-from gpchannel.info import SpectrumSamples, counts_scores, spectral_rate_estimate
-from gpchannel.mixture import _logsumexp
+from gpchannel.info import DELTA_BOUNDS, SpectrumSamples, counts_scores, spectral_rate_estimate
+from gpchannel.mixture import MixtureSpec, _logsumexp, mixture_spectrum_demo
 from gpchannel.prob import ChannelKernel, GPPolicy, Pmf, ValidationError, check_rows, effective_kernel
 from gpchannel.region import _kernel_rates, _penalty_value_and_grad, _softmax, _unpack
+from gpchannel.rng import stream
 
 from conftest import full_product_maps
 
@@ -96,6 +97,15 @@ def test_counts_scores_matches_direct_sum(data):
             direct = math.fsum(c * t for c, t in zip(row[counted], table[counted]))
             assert math.isfinite(value)
             assert math.isclose(value, direct, rel_tol=1e-12, abs_tol=1e-9)
+
+
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_counts_scores_do_not_depend_on_the_batch(cells, rows, batch, seed):
+    rng = stream(seed, 0xBA7C)
+    counts = rng.integers(0, 2000, size=(rows, cells))
+    table = np.log(rng.dirichlet(np.ones(cells)))
+    parts = [counts_scores(counts[lo : lo + batch], table) for lo in range(0, rows, batch)]
+    np.testing.assert_array_equal(np.concatenate(parts), counts_scores(counts, table))
 
 
 @given(codebook_case(), st.integers(1, 64))
@@ -226,6 +236,44 @@ def test_mixture_logsumexp_matches_scipy(rows):
     np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def mixture_case(draw):
+    """A K x L mixture over two states, two inputs and two or three
+    outputs, with zero cells, and a two-symbol policy."""
+    k_n, l_n = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    n_y = draw(st.integers(2, 3))
+
+    def weights(m):
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+        return w / w.sum()
+
+    chans = [ChannelKernel(np.array([[draw(pmf(n_y)) for _ in range(2)] for _ in range(2)])) for _ in range(k_n)]
+    states = [Pmf(draw(pmf(2))) for _ in range(l_n)]
+    policy = GPPolicy(
+        u_given_s=np.array([draw(pmf(2)) for _ in range(2)]),
+        x_map=np.array(draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))).reshape(2, 2),
+    )
+    return MixtureSpec(tuple(zip(weights(k_n), chans)), tuple(zip(weights(l_n), states))), policy
+
+
+# (window, draws): draws never a multiple of a window above 1
+_SPECTRUM_WINDOWS = [(1, 37), (7, 200), (64, 1000), (mixture._WINDOW, 2 * mixture._WINDOW + 5)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=mixture_case(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("window, draws", _SPECTRUM_WINDOWS)
+def test_spectrum_samples_do_not_depend_on_the_window(window, draws, case, n, seed):
+    mix, policy = case
+    # one window of every draw is the whole-array sampler
+    with mock.patch.object(mixture, "_WINDOW", draws):
+        want = mixture_spectrum_demo(mix, policy, n=n, draws=draws, seed=seed)
+    with mock.patch.object(mixture, "_WINDOW", window):
+        got = mixture_spectrum_demo(mix, policy, n=n, draws=draws, seed=seed)
+    np.testing.assert_array_equal(got.samples, want.samples)
+    np.testing.assert_array_equal(got.tail_infinite, want.tail_infinite)
+
+
 _thetas = st.one_of(st.sampled_from([0.0, -1.5, 2.0]), st.floats(-1000.0, 1000.0))  # repeats make ties
 
 
@@ -239,7 +287,7 @@ def test_region_softmax_is_scipys_bit_for_bit(rows):
 
 
 @given(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.25]), st.floats(-5.0, 5.0)), min_size=1, max_size=300),
-       st.floats(0.001, 1.0, exclude_max=True))
+       st.floats(0.001, DELTA_BOUNDS[1], exclude_max=True))  # inside the open delta interval
 def test_spectral_rate_is_the_sorted_order_statistic(values, delta):
     assume(len(values) >= 1.0 / delta)
     samples = SpectrumSamples(samples=np.array(values))
