@@ -87,11 +87,11 @@ def counts_scores(counts: np.ndarray, log_table: np.ndarray) -> np.ndarray:
     """
     table = np.reshape(log_table, counts.shape[:-2] + (1,) + counts.shape[-1:])
     finite = np.isfinite(table)
-    table = np.where(finite, table, 0.0)
-    out = counts[..., 0] * table[..., 0]
+    safe = table if finite.all() else np.where(finite, table, 0.0)
+    out = counts[..., 0] * safe[..., 0]
     for cell in range(1, counts.shape[-1]):
-        out += counts[..., cell] * table[..., cell]
-    if not finite.all():
+        out += counts[..., cell] * safe[..., cell]
+    if safe is not table:
         out[((counts != 0) & ~finite).any(axis=-1)] = -np.inf
     return out
 

@@ -184,7 +184,7 @@ class TestSpectrumDemo:
     @pytest.mark.parametrize("state_weights", [(1.0,), (0.3, 0.7)])
     def test_memory_follows_the_window_not_the_draws(self, state_weights):
         # the sampler holds the pair indices, the densities and the finite
-        # samples, about 25 B per draw, plus one window; whole-array draws
+        # samples, about 20 B per draw, plus one window; whole-array draws
         # and scores held about 105 B per draw
         draws = 2**19
         mix = MixtureSpec(

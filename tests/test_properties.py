@@ -2,15 +2,16 @@
 counts-times-log-table block score, the explicit decoder's type-count
 scores and the E2 test built on it, the inverse-CDF sampler and the
 table-driven draws of the trial path, the mixture spectrum's
-log-sum-exp and its windowed sampler, the spectral order statistic, the GP optimizer's
-enumeration of input maps up to relabelling, its objective and gradient
-over batch rows and component pairs, the merging of auxiliary symbols
-that share a row of the input map, the retirement of GP starts on
-their concavity bound, the effective channel of an input map, the
-Cesaro running averages over a slot table, the region solver's softmax,
-its penalised objective and its gradient, the one check every
-probability row goes through, and the one-state case of the
-state-known-at-both-ends capacity as Blahut-Arimoto's figures."""
+log-sum-exp and its windowed sampler, the spectral order statistic,
+the GP optimizer's enumeration of input maps up to relabelling, its
+objective and gradient over batch rows and component pairs, the
+merging of auxiliary symbols that share a row of the input map, the
+retirement of GP starts on their concavity bound, the effective
+channel of an input map, the Cesaro running averages over a slot
+table, the region solver's softmax, its penalised objective and its
+gradient, the one check every probability row goes through, and the
+one-state case of the state-known-at-both-ends capacity as
+Blahut-Arimoto's figures."""
 
 import math
 from unittest import mock
