@@ -124,16 +124,6 @@ def _scores(counts: np.ndarray, log_tables: np.ndarray) -> np.ndarray:
     return counts_scores(np.broadcast_to(counts, log_tables.shape[:-1] + counts.shape), log_tables)
 
 
-def _slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Exact integer sum of a over a short axis, one slice at a time
-    (a reduction over a length-2 axis costs more than the adds)."""
-    parts = np.moveaxis(a, axis, 0)
-    out = parts[0].copy()
-    for part in parts[1:]:
-        out += part
-    return out
-
-
 def mixture_spectrum_demo(
     mix: MixtureSpec,
     policy: GPPolicy,
@@ -181,11 +171,15 @@ def mixture_spectrum_demo(
                 continue
             counts = rng.multinomial(n, cells[ki, li].ravel(), size=sel.size)
             blocks = counts.reshape(-1, n_u, n_y)
+            # the U and Y marginal counts as sums of slices: exact integers,
+            # and cheaper than a reduction over a length-2 axis
+            u_counts = sum(blocks[:, :, y] for y in range(n_y))
+            y_counts = sum(blocks[:, u] for u in range(n_u))
             # log of the weighted block laws P(u,y) and P(y) of each pair (k,l)
             # and P(u) of each l, one stacked score per family
             log_joint = (_scores(counts, log_uy) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
-            log_pu = _scores(_slice_sum(blocks, 2), log_u) + log_sw[:, None]
-            log_py = (_scores(_slice_sum(blocks, 1), log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
+            log_pu = _scores(u_counts, log_u) + log_sw[:, None]
+            log_py = (_scores(y_counts, log_y) + log_cw[:, None, None] + log_sw[:, None]).reshape(-1, sel.size)
             densities[sel] = (_logsumexp(log_joint) - _logsumexp(log_pu) - _logsumexp(log_py)) / n
     finite = np.isfinite(densities)
     tail_infinite = draws - int(np.count_nonzero(finite))
